@@ -297,7 +297,7 @@ let test_metric_namespaces () =
      subsystem it pulls in are registered, then lint each name against
      the documented <namespace>.<metric> scheme *)
   List.iter
-    (fun line -> ignore (Nxc_service.Engine.run_line line))
+    (fun line -> ignore (Nxc_service.Engine.run_lines [ line ]))
     [ {|{"kind":"synth","expr":"x1x2 + x1'x2'"}|};
       {|{"kind":"flow","expr":"x1 ^ x2"}|};
       {|{"kind":"bist","rows":4,"cols":6}|};

@@ -455,19 +455,20 @@ let push_all stream lines =
   outs @ Svc.Engine.Stream.flush stream
 
 let test_stream_determinism () =
-  (* streamed envelopes are byte-identical to the synchronous loop, in
-     input order, for every window size — including memo-hit repeats *)
+  (* streamed envelopes are byte-identical to resolving each line as a
+     one-line batch, in input order, for every window size — including
+     memo-hit repeats *)
   let baseline =
     let cache = Svc.Cache.create () in
     envelope_strings
-      (List.map (fun l -> Svc.Engine.run_line ~cache l) stream_lines)
+      (List.concat_map (fun l -> Svc.Engine.run_lines ~cache [ l ]) stream_lines)
   in
   List.iter
     (fun window ->
       let stream = Svc.Engine.Stream.create ~window () in
       let outs = push_all stream stream_lines in
       Alcotest.(check (list string))
-        (Printf.sprintf "window %d = synchronous loop" window)
+        (Printf.sprintf "window %d = one-line batches" window)
         baseline (envelope_strings outs))
     [ 1; 2; 3; 17 ];
   (* and under a pool, sharded like the CLI would *)
@@ -475,7 +476,7 @@ let test_stream_determinism () =
       let cache = Svc.Cache.create ~shards:2 () in
       let stream = Svc.Engine.Stream.create ?pool ~cache () in
       let outs = push_all stream stream_lines in
-      Alcotest.(check (list string)) "pooled stream = synchronous loop"
+      Alcotest.(check (list string)) "pooled stream = one-line batches"
         baseline (envelope_strings outs))
 
 let test_stream_memo () =
