@@ -15,12 +15,14 @@ doc:
 	  echo "doc: odoc not installed, skipping (opam install odoc)"; \
 	fi
 
-# the tier-1 gate: everything compiles (including examples and bench),
+# the tier-1 gate: everything compiles (including examples, bench and
+# the nxbench benchmark, which builds only under its own profile),
 # every test — unit, property, cram, bench smoke — passes, the kernel
 # determinism/speedup gates hold, and the odoc pages build when odoc is
 # available
 check:
 	dune build @all
+	dune build --root . --profile nxbench --build-dir _build_nxbench ./nxbench/main.exe
 	dune runtest
 	$(MAKE) bench-smoke
 	$(MAKE) doc
@@ -55,5 +57,6 @@ smoke:
 
 clean:
 	dune clean
+	rm -rf _build_nxbench
 	rm -f trace.json .nxc-cache results.jsonl bench_smoke.json \
 	  flight.jsonl events.jsonl

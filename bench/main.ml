@@ -1166,13 +1166,13 @@ let e_loadgen () =
     let v = f () in
     (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
   in
-  (* serve-style replay: one job at a time, per-job latency into the
-     given HDR instrument *)
+  (* serve-style replay: one job at a time (a one-line batch, no
+     response memo), per-job latency into the given HDR instrument *)
   let replay hdr cache =
     List.map
       (fun line ->
         let t0 = Obs.Clock.now_ns () in
-        let o = Svc.Engine.run_line ~cache line in
+        let o = List.hd (Svc.Engine.run_lines ~cache [ line ]) in
         Obs.Metrics.hdr_observe hdr (Obs.Clock.now_ns () - t0);
         o)
       lines
@@ -1211,11 +1211,11 @@ let e_loadgen () =
   assert identical;
   (* --jobs sweep: replay the mix through the serve path at each
      concurrency level and two offered loads (the mix once, and the mix
-     4x — a hot key distribution).  Level 1 is the historical
-     synchronous run_line loop; levels >= 2 go through the pipelined
-     Stream (pooled engine + response memo), each level on its own
-     sharded cache.  Warm envelopes must stay byte-identical to the
-     level-1 baseline at every level. *)
+     4x — a hot key distribution).  Level 1 resolves one line at a time
+     as a one-line batch, without the response memo; levels >= 2 go
+     through the pipelined Stream (pooled engine + response memo), each
+     level on its own sharded cache.  Warm envelopes must stay
+     byte-identical to the level-1 baseline at every level. *)
   let levels = [ 1; 2; 4; 8 ] in
   let loads = [ ("light", 1); ("hot", 4) ] in
   let repeat k xs = List.concat (List.init k (fun _ -> xs)) in
@@ -1241,7 +1241,7 @@ let e_loadgen () =
             List.map
               (fun line ->
                 let t0 = Obs.Clock.now_ns () in
-                let o = Svc.Engine.run_line ~cache line in
+                let o = List.hd (Svc.Engine.run_lines ~cache [ line ]) in
                 obs (Obs.Clock.now_ns () - t0);
                 o)
               load_lines
@@ -1301,7 +1301,7 @@ let e_loadgen () =
   in
   Format.printf
     "@.--jobs sweep (light = mix once, hot = mix 4x; level 1 = \
-     synchronous serve loop, >= 2 = pipelined stream):@.";
+     one-line batches, >= 2 = pipelined stream):@.";
   Format.printf "%-6s %-6s %6s %10s %11s %10s %10s %10s@." "jobs" "load"
     "n" "total ms" "jobs/s" "p50 ms" "p95 ms" "p99 ms";
   let sweep_fields =

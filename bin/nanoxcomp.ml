@@ -23,6 +23,7 @@ module Lt = Nxc_lattice
 module C = Nxc_core
 module Obs = Nxc_obs
 module Guard = Nxc_guard
+module Svc = Nxc_service
 
 (* ------------------------------------------------------------------ *)
 (* observability flags, shared by every subcommand                     *)
@@ -207,6 +208,11 @@ let density_arg =
 let parse_or_die expr =
   match Parse.expr_result expr with Ok f -> f | Error e -> die_error e
 
+(* the simulation subcommands check their flags as the job spec the
+   service would receive *)
+let validate_or_die spec =
+  match Svc.Job.validate spec with Ok () -> () | Error e -> die_error e
+
 (* ------------------------------------------------------------------ *)
 
 let synth_cmd =
@@ -265,18 +271,18 @@ let suite_cmd =
 
 let bist_cmd =
   let run _jobs rows cols =
-    let plan = R.Bist.plan ~rows ~cols in
-    let universe = R.Fault_model.universe ~rows ~cols in
-    let cov, und = R.Bist.coverage plan universe in
+    validate_or_die (Svc.Job.Bist { rows; cols });
+    let { Svc.Sim.plan; faults; coverage; undetected } =
+      Svc.Sim.bist ~rows ~cols
+    in
     Format.printf "plan for %dx%d: %d configurations (%d group), %d vectors@."
       rows cols (R.Bist.num_configs plan)
       (R.Bisd.num_group_configs plan)
       (R.Bist.num_vectors plan);
-    Format.printf "faults: %d, coverage %.1f%%@." (List.length universe)
-      (100.0 *. cov);
+    Format.printf "faults: %d, coverage %.1f%%@." faults (100.0 *. coverage);
     List.iter
       (fun f -> Format.printf "  UNDETECTED: %a@." R.Fault_model.pp_fault f)
-      und
+      undetected
   in
   let rows =
     Arg.(value & opt int 8 & info [ "rows"; "r" ] ~docv:"R" ~doc:"array rows")
@@ -288,45 +294,18 @@ let bist_cmd =
     (Cmd.info "bist" ~doc:"test-plan statistics and fault coverage")
     Term.(const run $ common_term $ rows $ cols)
 
-(* heuristic BISM schemes plus the exact SAT decision procedure *)
-type cli_scheme = Heuristic of R.Bism.scheme | Exact_sat
-
-let scheme_conv =
-  let parse = function
-    | "blind" -> Ok (Heuristic R.Bism.Blind)
-    | "greedy" -> Ok (Heuristic R.Bism.Greedy)
-    | "hybrid" -> Ok (Heuristic (R.Bism.Hybrid 10))
-    | "sat" -> Ok Exact_sat
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-  in
-  let print ppf = function
-    | Heuristic R.Bism.Blind -> Format.pp_print_string ppf "blind"
-    | Heuristic R.Bism.Greedy -> Format.pp_print_string ppf "greedy"
-    | Heuristic (R.Bism.Hybrid _) -> Format.pp_print_string ppf "hybrid"
-    | Exact_sat -> Format.pp_print_string ppf "sat"
-  in
-  Arg.conv (parse, print)
-
 let bism_cmd =
   let run jobs n k density scheme seed trials =
+    validate_or_die (Svc.Job.Bism { n; k; density; seed; trials; scheme });
     Nxc_par.Pool.with_jobs jobs @@ fun pool ->
-    match scheme with
-    | Heuristic scheme ->
-        let mc, _ =
-          R.Bism.monte_carlo ?pool (R.Rng.create seed) scheme ~trials ~n
-            ~profile:(R.Defect.uniform density) ~k_rows:k ~k_cols:k
-            ~max_configs:1000
-        in
+    match Svc.Sim.bism ?pool ~n ~k ~density ~seed ~trials scheme with
+    | Svc.Sim.Heuristic mc ->
         Format.printf
           "%d/%d chips mapped (k=%d on N=%d at %.1f%% defects), avg %.1f \
            configurations@."
           mc.R.Bism.mc_mapped trials k n (100.0 *. density)
           mc.R.Bism.mc_avg_configs
-    | Exact_sat ->
-        let mc =
-          R.Sat_assign.monte_carlo ?pool (R.Rng.create seed) ~trials ~n
-            ~profile:(R.Defect.uniform density) ~k_rows:k ~k_cols:k
-        in
+    | Svc.Sim.Exact mc ->
         Format.printf
           "%d/%d chips mapped (k=%d on N=%d at %.1f%% defects), %d proven \
            unmappable, %d degraded@."
@@ -340,7 +319,7 @@ let bism_cmd =
   let scheme =
     Arg.(
       value
-      & opt scheme_conv (Heuristic (R.Bism.Hybrid 10))
+      & opt string "hybrid"
       & info [ "scheme" ] ~docv:"SCHEME"
           ~doc:
             "blind, greedy or hybrid (heuristic BISM), or sat (exact \
@@ -355,13 +334,9 @@ let bism_cmd =
 
 let flow_cmd =
   let run _jobs expr n density seed =
-    let f = parse_or_die expr in
-    let chip =
-      R.Defect.generate (R.Rng.create seed) ~rows:n ~cols:n
-        (R.Defect.uniform density)
-    in
-    let result =
-      match C.Flow.run_result (R.Rng.create (seed + 1)) ~chip f with
+    validate_or_die (Svc.Job.Flow { expr; n; density; seed });
+    let chip, result =
+      match Svc.Sim.flow ~n ~density ~seed (parse_or_die expr) with
       | Ok r -> r
       | Error e -> die_error e
     in
@@ -380,21 +355,15 @@ let flow_cmd =
 
 let yield_cmd =
   let run jobs n density trials =
+    validate_or_die (Svc.Job.Yield { n; density; seed = 1; trials });
     Nxc_par.Pool.with_jobs jobs @@ fun pool ->
-    let profile = R.Defect.uniform density in
-    let ek =
-      R.Yield_model.expected_max_k ?pool (R.Rng.create 1) ~trials ~n ~profile
-    in
+    let y = Svc.Sim.yield ?pool ~n ~density ~seed:1 ~trials () in
     Format.printf "N=%d, density %.1f%%: mean recovered k = %.1f@." n
-      (100.0 *. density) ek;
+      (100.0 *. density) y.Svc.Sim.mean_max_k;
     List.iter
-      (fun y ->
-        let k =
-          R.Yield_model.guaranteed_k ?pool (R.Rng.create 2) ~trials ~n
-            ~profile ~min_yield:y
-        in
-        Format.printf "  k guaranteed at %.0f%% yield: %d@." (100.0 *. y) k)
-      [ 0.5; 0.9; 0.99 ]
+      (fun (level, k) ->
+        Format.printf "  k guaranteed at %.0f%% yield: %d@." (100.0 *. level) k)
+      y.Svc.Sim.guaranteed_k
   in
   let n = Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc:"chip side") in
   let trials =
@@ -406,22 +375,13 @@ let yield_cmd =
 
 let repair_cmd =
   let run jobs rows cols spare_rows spare_cols density seed trials mode =
-    if spare_rows < 0 || spare_cols < 0 then
-      die_error
-        (Guard.Error.invalid_input "spare budgets must be non-negative");
-    let profile =
-      match R.Defect.validate_profile (R.Defect.uniform density) with
-      | Ok p -> p
-      | Error e -> die_error e
-    in
+    validate_or_die
+      (Svc.Job.Repair
+         { rows; cols; spare_rows; spare_cols; density; seed; trials; mode });
     Nxc_par.Pool.with_jobs jobs @@ fun pool ->
-    let mc, _ =
-      R.Bira.monte_carlo ?pool ~mode (R.Rng.create seed) ~trials ~rows ~cols
-        ~spare_rows ~spare_cols ~profile
-    in
-    let overhead =
-      Nxc_crossbar.Metrics.spare_overhead ~rows ~cols ~spare_rows ~spare_cols
-        ()
+    let mc, overhead =
+      Svc.Sim.repair ?pool ~rows ~cols ~spare_rows ~spare_cols ~density ~seed
+        ~trials mode
     in
     Format.printf
       "%d/%d chips repaired (%dx%d + %d/%d spares at %.1f%% defects)@."
@@ -458,8 +418,7 @@ let repair_cmd =
   let mode =
     Arg.(
       value
-      & opt (enum [ ("exact", R.Bira.Exact); ("greedy", R.Bira.Greedy) ])
-          R.Bira.Exact
+      & opt string "exact"
       & info [ "mode" ] ~docv:"MODE" ~doc:"spare allocation: exact or greedy")
   in
   Cmd.v
@@ -551,11 +510,9 @@ let machine_cmd =
 
 let stats_cmd =
   let run _jobs expr json prom n density seed =
+    validate_or_die (Svc.Job.Flow { expr; n; density; seed });
     let f = parse_or_die expr in
-    let chip =
-      R.Defect.generate (R.Rng.create seed) ~rows:n ~cols:n
-        (R.Defect.uniform density)
-    in
+    let chip = Svc.Sim.chip ~n ~density ~seed in
     let result = C.Flow.run (R.Rng.create (seed + 1)) ~chip f in
     Format.printf "flow: mapped=%b functional=%b@.@."
       result.C.Flow.bism.R.Bism.success result.C.Flow.functional;
@@ -588,8 +545,6 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 (* service modes: batch + serve                                        *)
 (* ------------------------------------------------------------------ *)
-
-module Svc = Nxc_service
 
 let cache_arg =
   let doc =
@@ -697,74 +652,46 @@ let serve_cmd =
   let run jobs cache_path window deadline_ms =
     Nxc_par.Pool.with_jobs jobs @@ fun pool ->
     with_disk_cache ~shards:(shards_of_pool pool) cache_path @@ fun cache ->
-    (* the historical synchronous loop stays the --jobs 1 path;
-       streaming (windowed read-ahead + admission) engages as soon as
-       any of the concurrency flags is given *)
-    if jobs = 1 && window = None && deadline_ms = None then
-      let rec loop () =
-        match input_line stdin with
-        | exception End_of_file -> ()
-        | "" -> loop ()
-        | "__stats__" ->
-            (* control line: one-line metrics snapshot (with quantiles),
-               never a job envelope, so clients can poll between jobs *)
-            print_string (Obs.Json.to_string (Obs.Metrics.dump_json ()));
-            print_newline ();
-            flush stdout;
-            loop ()
-        | line ->
-            let o = Svc.Engine.run_line ~cache line in
-            print_string (Obs.Json.to_string o.Svc.Engine.envelope);
-            print_newline ();
-            flush stdout;
-            if o.Svc.Engine.exit_code <> 0 then
-              Obs.Log.dump_flight
-                ~reason:
-                  (Printf.sprintf "serve envelope exit %d"
-                     o.Svc.Engine.exit_code);
-            loop ()
-      in
-      loop ()
-    else begin
-      let stream =
-        Svc.Engine.Stream.create ?pool ~cache ?window ?deadline_ms ()
-      in
-      let emit outs =
-        List.iter
-          (fun o ->
-            print_string (Obs.Json.to_string o.Svc.Engine.envelope);
-            print_newline ();
-            if o.Svc.Engine.exit_code <> 0 then
-              Obs.Log.dump_flight
-                ~reason:
-                  (Printf.sprintf "serve envelope exit %d"
-                     o.Svc.Engine.exit_code))
-          outs;
-        if outs <> [] then flush stdout
-      in
-      let rec loop () =
-        match input_line stdin with
-        | exception End_of_file -> emit (Svc.Engine.Stream.flush stream)
-        | "" -> loop ()
-        | "__flush__" ->
-            (* control line: drain the window without waiting for it to
-               fill (clients that need an answer now) *)
-            emit (Svc.Engine.Stream.flush stream);
-            loop ()
-        | "__stats__" ->
-            (* pending jobs resolve first, so the snapshot reflects
-               everything read so far *)
-            emit (Svc.Engine.Stream.flush stream);
-            print_string (Obs.Json.to_string (Obs.Metrics.dump_json ()));
-            print_newline ();
-            flush stdout;
-            loop ()
-        | line ->
-            emit (Svc.Engine.Stream.push stream line);
-            loop ()
-      in
-      loop ()
-    end
+    (* sequential serve answers each line before reading the next *)
+    let window = if pool = None && window = None then Some 1 else window in
+    let stream =
+      Svc.Engine.Stream.create ?pool ~cache ?window ?deadline_ms ()
+    in
+    let emit outs =
+      List.iter
+        (fun o ->
+          print_string (Obs.Json.to_string o.Svc.Engine.envelope);
+          print_newline ();
+          if o.Svc.Engine.exit_code <> 0 then
+            Obs.Log.dump_flight
+              ~reason:
+                (Printf.sprintf "serve envelope exit %d" o.Svc.Engine.exit_code))
+        outs;
+      if outs <> [] then flush stdout
+    in
+    let rec loop () =
+      match input_line stdin with
+      | exception End_of_file -> emit (Svc.Engine.Stream.flush stream)
+      | "" -> loop ()
+      | "__flush__" ->
+          (* control line: drain the window without waiting for it to
+             fill (clients that need an answer now) *)
+          emit (Svc.Engine.Stream.flush stream);
+          loop ()
+      | "__stats__" ->
+          (* control line: a one-line metrics snapshot (with quantiles),
+             never a job envelope; pending jobs resolve first, so it
+             reflects everything read so far *)
+          emit (Svc.Engine.Stream.flush stream);
+          print_string (Obs.Json.to_string (Obs.Metrics.dump_json ()));
+          print_newline ();
+          flush stdout;
+          loop ()
+      | line ->
+          emit (Svc.Engine.Stream.push stream line);
+          loop ()
+    in
+    loop ()
   in
   let window_arg =
     Arg.(

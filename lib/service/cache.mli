@@ -10,12 +10,13 @@
     {b Sharding.}  The table is split into [shards] independent LRU
     shards (default 1), each with its own mutex and recency clock,
     selected by a stable hash of the key ({!shard_of}).  The concurrent
-    serve mode creates one shard per runner slot so cache traffic from
-    different jobs contends on different locks; a single-shard cache
+    serve mode creates one shard per runner slot; a single-shard cache
     behaves exactly like the historical unsharded one.  Every operation
     takes only its shard's lock, so the cache is safe to touch from any
-    domain — though the {!Engine} still performs hit/miss {e
-    accounting} on one domain to keep it deterministic.
+    domain.  The {!Engine} nevertheless makes every {!peek}, {!find}
+    and {!add} on the calling domain (to keep hit/miss accounting
+    deterministic), so today the shards see no lock contention; they
+    split the traffic counters only.
 
     Lookups and insertions maintain the [service.cache.hits],
     [service.cache.misses] and [service.cache.evictions] counters in

@@ -20,9 +20,8 @@ let m_errors = Nxc_obs.Metrics.counter "service.errors"
 (* Per-job and per-stage latency distributions, in nanoseconds.  HDR
    instruments so stats/serve can answer with p50/p95/p99.  Stage
    nesting: [render] includes the cache-hit [verify] re-check; [job] is
-   the whole sequential resolution of one job (in batch mode a pooled
-   leader's compute runs on a worker and is recorded under [compute]
-   only, so [job] stays comparable across --jobs N). *)
+   the sequential resolution of one job (a leader's compute is recorded
+   under [compute] only, so [job] stays comparable across --jobs N). *)
 let m_lat_job = Nxc_obs.Metrics.hdr "service.latency.job"
 let m_lat_parse = Nxc_obs.Metrics.hdr "service.latency.parse"
 let m_lat_key = Nxc_obs.Metrics.hdr "service.latency.key"
@@ -93,6 +92,8 @@ let cover_of_json n = function
            cubes)
   | _ -> failwith "bad cover"
 
+let dims rows cols = J.Obj [ ("rows", J.Int rows); ("cols", J.Int cols) ]
+
 let corrupt () = Error (Error.internal "corrupt cache entry for synth job")
 
 let plan_synth (job : Job.t) expr cover_backend =
@@ -152,9 +153,6 @@ let plan_synth (job : Job.t) expr cover_backend =
                   let p = Cover.num_cubes cover in
                   let pd = Cover.num_cubes dual in
                   let lits = List.length (Cover.distinct_literals cover) in
-                  let dims rows cols =
-                    J.Obj [ ("rows", J.Int rows); ("cols", J.Int cols) ]
-                  in
                   Ok
                     ( J.Obj
                         [ ("n", J.Int n);
@@ -177,151 +175,95 @@ let plan_synth (job : Job.t) expr cover_backend =
 (* seeded simulation jobs: whole payload cached under the spec key     *)
 (* ------------------------------------------------------------------ *)
 
-let scheme_of_string = function
-  | "blind" -> R.Bism.Blind
-  | "greedy" -> R.Bism.Greedy
-  | _ -> R.Bism.Hybrid 10
+let flow_payload (chip, r) =
+  let lattice = C.Synth.best_lattice r.C.Flow.impl in
+  J.Obj
+    [ ("mapped", J.Bool r.C.Flow.bism.R.Bism.success);
+      ("functional", J.Bool r.C.Flow.functional);
+      ( "lattice",
+        dims (Nxc_lattice.Lattice.rows lattice) (Nxc_lattice.Lattice.cols lattice)
+      );
+      ("defect_pct", J.Float (100.0 *. R.Defect.actual_density chip)) ]
 
-let plan_sim (job : Job.t) compute_payload ~exit_of =
-  let compute () = with_job_budget job compute_payload in
-  let render value = Ok (value, exit_of value) in
-  Keyed { key = Job.cache_key job; compute; render }
+let bist_payload (b : Sim.bist) =
+  J.Obj
+    [ ("configs", J.Int (R.Bist.num_configs b.plan));
+      ("group_configs", J.Int (R.Bisd.num_group_configs b.plan));
+      ("vectors", J.Int (R.Bist.num_vectors b.plan));
+      ("faults", J.Int b.faults);
+      ("coverage_pct", J.Float (100.0 *. b.coverage)) ]
 
-let exit_zero _ = 0
+let bism_payload ~trials = function
+  | Sim.Heuristic mc ->
+      J.Obj
+        [ ("mapped", J.Int mc.R.Bism.mc_mapped); ("trials", J.Int trials);
+          ("avg_configs", J.Float mc.R.Bism.mc_avg_configs) ]
+  | Sim.Exact mc ->
+      J.Obj
+        [ ("mapped", J.Int mc.R.Sat_assign.sa_mapped); ("trials", J.Int trials);
+          ("unmappable", J.Int mc.R.Sat_assign.sa_unmappable);
+          ("degraded", J.Int mc.R.Sat_assign.sa_degraded) ]
 
-let plan_flow job expr n density seed =
-  match Parse.expr_result expr with
-  | Error e -> Bad e
-  | Ok f ->
-      plan_sim job
-        (fun () ->
-          let chip =
-            R.Defect.generate (R.Rng.create seed) ~rows:n ~cols:n
-              (R.Defect.uniform density)
-          in
-          match C.Flow.run_result (R.Rng.create (seed + 1)) ~chip f with
-          | Error e -> Error e
-          | Ok r ->
-              let lattice = C.Synth.best_lattice r.C.Flow.impl in
-              Ok
-                (J.Obj
-                   [ ("mapped", J.Bool r.C.Flow.bism.R.Bism.success);
-                     ("functional", J.Bool r.C.Flow.functional);
-                     ( "lattice",
-                       J.Obj
-                         [ ("rows", J.Int (Nxc_lattice.Lattice.rows lattice));
-                           ("cols", J.Int (Nxc_lattice.Lattice.cols lattice)) ]
-                     );
-                     ( "defect_pct",
-                       J.Float (100.0 *. R.Defect.actual_density chip) ) ]))
-        ~exit_of:(fun value ->
-          match J.member "functional" value with
-          | Some (J.Bool true) -> 0
-          | _ -> 5)
+let yield_payload (y : Sim.yield) =
+  J.Obj
+    (("mean_max_k", J.Float y.mean_max_k)
+    :: List.map
+         (fun (level, k) ->
+           (Printf.sprintf "k_at_%.0f" (100.0 *. level), J.Int k))
+         y.guaranteed_k)
 
-let plan_bist job rows cols =
-  plan_sim job
-    (fun () ->
-      let plan = R.Bist.plan ~rows ~cols in
-      let universe = R.Fault_model.universe ~rows ~cols in
-      let cov, _ = R.Bist.coverage plan universe in
-      Ok
-        (J.Obj
-           [ ("configs", J.Int (R.Bist.num_configs plan));
-             ("group_configs", J.Int (R.Bisd.num_group_configs plan));
-             ("vectors", J.Int (R.Bist.num_vectors plan));
-             ("faults", J.Int (List.length universe));
-             ("coverage_pct", J.Float (100.0 *. cov)) ]))
-    ~exit_of:exit_zero
+let repair_payload ~trials ((mc : R.Bira.mc), overhead) =
+  J.Obj
+    [ ("repaired", J.Int mc.mc_repaired); ("trials", J.Int trials);
+      ("avg_spares", J.Float mc.mc_avg_spares);
+      ("must_lines", J.Int mc.mc_must_lines);
+      ("degraded_trials", J.Int mc.mc_degraded);
+      ( "area_overhead",
+        J.Float overhead.Nxc_crossbar.Metrics.area_overhead ) ]
 
-let plan_bism job n k density seed trials scheme =
-  plan_sim job
-    (fun () ->
-      if scheme = "sat" then
-        let mc =
-          R.Sat_assign.monte_carlo (R.Rng.create seed) ~trials ~n
-            ~profile:(R.Defect.uniform density)
-            ~k_rows:k ~k_cols:k
-        in
-        Ok
-          (J.Obj
-             [ ("mapped", J.Int mc.R.Sat_assign.sa_mapped);
-               ("trials", J.Int trials);
-               ("unmappable", J.Int mc.R.Sat_assign.sa_unmappable);
-               ("degraded", J.Int mc.R.Sat_assign.sa_degraded) ])
-      else
-        let mc, _ =
-          R.Bism.monte_carlo (R.Rng.create seed) (scheme_of_string scheme)
-            ~trials ~n
-            ~profile:(R.Defect.uniform density)
-            ~k_rows:k ~k_cols:k ~max_configs:1000
-        in
-        Ok
-          (J.Obj
-             [ ("mapped", J.Int mc.R.Bism.mc_mapped);
-               ("trials", J.Int trials);
-               ("avg_configs", J.Float mc.R.Bism.mc_avg_configs) ]))
-    ~exit_of:exit_zero
+(* a seeded simulation: its whole payload is the cache value *)
+let plan_sim (job : Job.t) ?(exit_of = fun _ -> 0) compute =
+  Keyed
+    { key = Job.cache_key job;
+      compute = (fun () -> with_job_budget job compute);
+      render = (fun value -> Ok (value, exit_of value)) }
 
-let plan_yield job n density seed trials =
-  plan_sim job
-    (fun () ->
-      let profile = R.Defect.uniform density in
-      let mean =
-        R.Yield_model.expected_max_k (R.Rng.create seed) ~trials ~n ~profile
-      in
-      let at y =
-        R.Yield_model.guaranteed_k
-          (R.Rng.create (seed + 1))
-          ~trials ~n ~profile ~min_yield:y
-      in
-      Ok
-        (J.Obj
-           [ ("mean_max_k", J.Float mean);
-             ("k_at_50", J.Int (at 0.5));
-             ("k_at_90", J.Int (at 0.9));
-             ("k_at_99", J.Int (at 0.99)) ]))
-    ~exit_of:exit_zero
-
-let repair_mode_of_string = function
-  | "greedy" -> R.Bira.Greedy
-  | _ -> R.Bira.Exact
-
-let plan_repair job rows cols spare_rows spare_cols density seed trials mode =
-  plan_sim job
-    (fun () ->
-      let mc, _ =
-        R.Bira.monte_carlo (R.Rng.create seed)
-          ~mode:(repair_mode_of_string mode) ~trials ~rows ~cols ~spare_rows
-          ~spare_cols
-          ~profile:(R.Defect.uniform density)
-      in
-      let overhead =
-        Nxc_crossbar.Metrics.spare_overhead ~rows ~cols ~spare_rows ~spare_cols
-          ()
-      in
-      Ok
-        (J.Obj
-           [ ("repaired", J.Int mc.R.Bira.mc_repaired);
-             ("trials", J.Int trials);
-             ("avg_spares", J.Float mc.R.Bira.mc_avg_spares);
-             ("must_lines", J.Int mc.R.Bira.mc_must_lines);
-             ("degraded_trials", J.Int mc.R.Bira.mc_degraded);
-             ( "area_overhead",
-               J.Float overhead.Nxc_crossbar.Metrics.area_overhead ) ]))
-    ~exit_of:exit_zero
-
-let plan (job : Job.t) =
+let plan_keyed (job : Job.t) =
   match job.Job.spec with
   | Job.Synth { expr; cover_backend } -> plan_synth job expr cover_backend
-  | Job.Flow { expr; n; density; seed } -> plan_flow job expr n density seed
-  | Job.Bist { rows; cols } -> plan_bist job rows cols
+  | Job.Flow { expr; n; density; seed } -> (
+      match Parse.expr_result expr with
+      | Error e -> Bad e
+      | Ok f ->
+          plan_sim job
+            (fun () -> Result.map flow_payload (Sim.flow ~n ~density ~seed f))
+            ~exit_of:(fun value ->
+              match J.member "functional" value with
+              | Some (J.Bool true) -> 0
+              | _ -> 5))
+  | Job.Bist { rows; cols } ->
+      plan_sim job (fun () -> Ok (bist_payload (Sim.bist ~rows ~cols)))
   | Job.Bism { n; k; density; seed; trials; scheme } ->
-      plan_bism job n k density seed trials scheme
-  | Job.Yield { n; density; seed; trials } -> plan_yield job n density seed trials
+      plan_sim job (fun () ->
+          Ok
+            (bism_payload ~trials
+               (Sim.bism ~n ~k ~density ~seed ~trials scheme)))
+  | Job.Yield { n; density; seed; trials } ->
+      plan_sim job (fun () ->
+          Ok (yield_payload (Sim.yield ~n ~density ~seed ~trials ())))
   | Job.Repair { rows; cols; spare_rows; spare_cols; density; seed; trials;
                  mode } ->
-      plan_repair job rows cols spare_rows spare_cols density seed trials mode
+      plan_sim job (fun () ->
+          Ok
+            (repair_payload ~trials
+               (Sim.repair ~rows ~cols ~spare_rows ~spare_cols ~density ~seed
+                  ~trials mode)))
+
+(* jobs built in code skip [Job.of_json], so validate here too *)
+let plan (job : Job.t) =
+  match Job.validate job.Job.spec with
+  | Error e -> Bad e
+  | Ok () -> plan_keyed job
 
 (* ------------------------------------------------------------------ *)
 (* envelopes                                                           *)
@@ -360,11 +302,6 @@ let error_envelope ?id ?kind e =
     exit_code;
     cached = false }
 
-let render_or_error ?id ~kind keyed value ~cached =
-  match timed m_lat_render (fun () -> keyed.render value) with
-  | Ok rendered -> ok_envelope ?id ~kind rendered ~cached
-  | Error e -> error_envelope ?id ~kind e
-
 (* ------------------------------------------------------------------ *)
 (* drivers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -378,21 +315,6 @@ type tag =
   | TFollow of Job.t * keyed
 
 type tagged = { prep_ns : int; tag : tag }
-
-let resolve_sequential cache (job : Job.t) keyed =
-  let id = job.Job.id and kind = Job.kind job in
-  match Cache.find cache keyed.key with
-  | Some value -> render_or_error ?id ~kind keyed value ~cached:true
-  | None -> (
-      match
-        Nxc_obs.Span.with_ ~name:"service.compute"
-          ~attrs:(fun () -> [ ("kind", J.Str kind) ])
-          (fun () -> timed m_lat_compute keyed.compute)
-      with
-      | Ok value ->
-          Cache.add cache keyed.key value;
-          render_or_error ?id ~kind keyed value ~cached:false
-      | Error e -> error_envelope ?id ~kind e)
 
 (* resolution of one job after the sequential cache pass: either its
    error is already decided, or a cache value awaits rendering *)
@@ -462,7 +384,7 @@ let run_tagged ?pool ?cache tags =
               | Some value -> RVal (job, k, value, true)
               | None -> (
                   (* its leader failed to populate the key: compute here
-                     on the calling domain, like the serve loop would *)
+                     on the calling domain *)
                   match
                     Nxc_obs.Span.with_ ~name:"service.compute"
                       ~attrs:(fun () -> [ ("kind", J.Str (Job.kind job)) ])
@@ -544,20 +466,6 @@ let tag_line line =
 
 let run_lines ?pool ?cache lines =
   run_tagged ?pool ?cache (Nxc_par.Pool.map ?pool tag_line lines)
-
-let run_line ?cache line =
-  let cache = match cache with Some c -> c | None -> Cache.create () in
-  let t0 = Nxc_obs.Clock.now_ns () in
-  let out =
-    match timed m_lat_parse (fun () -> Job.of_line line) with
-    | Error e -> error_envelope e
-    | Ok job -> (
-        match timed m_lat_key (fun () -> plan job) with
-        | Bad e -> error_envelope ?id:job.Job.id ~kind:(Job.kind job) e
-        | Keyed k -> resolve_sequential cache job k)
-  in
-  Nxc_obs.Metrics.hdr_observe m_lat_job (Nxc_obs.Clock.now_ns () - t0);
-  out
 
 let batch_exit outcomes =
   match List.find_opt (fun o -> o.exit_code <> 0) outcomes with

@@ -63,9 +63,6 @@ val run_lines :
     becomes an error envelope (exit 3) rather than aborting the
     batch. *)
 
-val run_line : ?cache:Cache.t -> string -> outcome
-(** Resolve a single line on the calling domain — the [serve] loop. *)
-
 val batch_exit : outcome list -> int
 (** The batch's process exit code: [0] when every job's ["exit"] is
     [0], otherwise the first non-zero one in job order. *)

@@ -67,15 +67,8 @@ let int_opt kvs key =
 
 let int_d kvs key default = Option.value ~default (int_opt kvs key)
 
-let pos_int_d kvs key default =
-  let v = int_d kvs key default in
-  if v <= 0 then bad "job spec: %S must be positive" key;
-  v
-
-let nonneg_int_d kvs key default =
-  let v = int_d kvs key default in
-  if v < 0 then bad "job spec: %S must be non-negative" key;
-  v
+let str_d kvs key default =
+  match get kvs key with None -> default | Some _ -> str kvs key
 
 let float_d kvs key default =
   match get kvs key with
@@ -84,16 +77,45 @@ let float_d kvs key default =
   | Some _ -> bad "job spec: %S must be a number" key
   | None -> default
 
-let density_d kvs key default =
-  let v = float_d kvs key default in
-  if v < 0.0 || v > 1.0 then bad "job spec: %S must be in [0, 1]" key;
-  v
-
 let check_known kvs allowed =
   List.iter
     (fun (k, _) ->
       if not (List.mem k allowed) then bad "job spec: unknown field %S" k)
     kvs
+
+(* the range checks of every kind, shared by [of_json] and the CLI *)
+let check_spec spec =
+  let positive key v = if v <= 0 then bad "job spec: %S must be positive" key in
+  let non_negative key v =
+    if v < 0 then bad "job spec: %S must be non-negative" key
+  in
+  let density d =
+    if not (d >= 0.0 && d <= 1.0) then
+      bad "job spec: %S must be in [0, 1]" "density"
+  in
+  let one_of what names v =
+    if not (List.mem v names) then bad "job spec: unknown %s %S" what v
+  in
+  match spec with
+  | Synth { cover_backend; _ } ->
+      one_of "cover backend" [ "bnb"; "sat" ] cover_backend
+  | Flow { n; density = d; _ } -> positive "n" n; density d
+  | Bist { rows; cols } -> positive "rows" rows; positive "cols" cols
+  | Bism { n; k; density = d; trials; scheme; _ } ->
+      positive "n" n; positive "k" k; density d; positive "trials" trials;
+      one_of "scheme" [ "blind"; "greedy"; "hybrid"; "sat" ] scheme;
+      if k > n then bad "job spec: \"k\" must not exceed \"n\""
+  | Yield { n; density = d; trials; _ } ->
+      positive "n" n; density d; positive "trials" trials
+  | Repair { rows; cols; spare_rows; spare_cols; density = d; trials; mode; _ }
+    ->
+      positive "rows" rows; positive "cols" cols;
+      non_negative "spare_rows" spare_rows;
+      non_negative "spare_cols" spare_cols;
+      density d; positive "trials" trials;
+      one_of "repair mode" [ "exact"; "greedy" ] mode
+
+let validate spec = try Ok (check_spec spec) with Bad e -> Error e
 
 let common = [ "kind"; "id"; "budget_steps" ]
 
@@ -115,70 +137,50 @@ let of_json json =
       match str kvs "kind" with
       | "synth" ->
           check_known kvs ("expr" :: "cover_backend" :: common);
-          let cover_backend =
-            match get kvs "cover_backend" with
-            | None -> "bnb"
-            | Some (J.Str (("bnb" | "sat") as s)) -> s
-            | Some (J.Str s) -> bad "job spec: unknown cover backend %S" s
-            | Some _ -> bad "job spec: \"cover_backend\" must be a string"
-          in
-          Synth { expr = str kvs "expr"; cover_backend }
+          Synth
+            { expr = str kvs "expr";
+              cover_backend = str_d kvs "cover_backend" "bnb" }
       | "flow" ->
           check_known kvs ("expr" :: "n" :: "density" :: "seed" :: common);
           Flow
-            { expr = str kvs "expr"; n = pos_int_d kvs "n" 24;
-              density = density_d kvs "density" 0.05;
+            { expr = str kvs "expr"; n = int_d kvs "n" 24;
+              density = float_d kvs "density" 0.05;
               seed = int_d kvs "seed" 42 }
       | "bist" ->
           check_known kvs ("rows" :: "cols" :: common);
-          Bist { rows = pos_int_d kvs "rows" 8; cols = pos_int_d kvs "cols" 8 }
+          Bist { rows = int_d kvs "rows" 8; cols = int_d kvs "cols" 8 }
       | "bism" ->
           check_known kvs
             ("n" :: "k" :: "density" :: "seed" :: "trials" :: "scheme"
             :: common);
-          let scheme =
-            match get kvs "scheme" with
-            | None -> "hybrid"
-            | Some (J.Str ("blind" | "greedy" | "hybrid" | "sat") as s) ->
-                (match s with J.Str s -> s | _ -> assert false)
-            | Some (J.Str s) -> bad "job spec: unknown scheme %S" s
-            | Some _ -> bad "job spec: \"scheme\" must be a string"
-          in
           Bism
-            { n = pos_int_d kvs "n" 32; k = pos_int_d kvs "k" 12;
-              density = density_d kvs "density" 0.05;
-              seed = int_d kvs "seed" 42; trials = pos_int_d kvs "trials" 20;
-              scheme }
+            { n = int_d kvs "n" 32; k = int_d kvs "k" 12;
+              density = float_d kvs "density" 0.05;
+              seed = int_d kvs "seed" 42; trials = int_d kvs "trials" 20;
+              scheme = str_d kvs "scheme" "hybrid" }
       | "yield" ->
           check_known kvs ("n" :: "density" :: "seed" :: "trials" :: common);
           Yield
-            { n = pos_int_d kvs "n" 32;
-              density = density_d kvs "density" 0.05;
-              seed = int_d kvs "seed" 1; trials = pos_int_d kvs "trials" 40 }
+            { n = int_d kvs "n" 32; density = float_d kvs "density" 0.05;
+              seed = int_d kvs "seed" 1; trials = int_d kvs "trials" 40 }
       | "repair" ->
           check_known kvs
             ("rows" :: "cols" :: "spare_rows" :: "spare_cols" :: "density"
             :: "seed" :: "trials" :: "mode" :: common);
-          let mode =
-            match get kvs "mode" with
-            | None -> "exact"
-            | Some (J.Str (("exact" | "greedy") as s)) -> s
-            | Some (J.Str s) -> bad "job spec: unknown repair mode %S" s
-            | Some _ -> bad "job spec: \"mode\" must be a string"
-          in
           Repair
-            { rows = pos_int_d kvs "rows" 12; cols = pos_int_d kvs "cols" 12;
-              spare_rows = nonneg_int_d kvs "spare_rows" 2;
-              spare_cols = nonneg_int_d kvs "spare_cols" 2;
-              density = density_d kvs "density" 0.05;
-              seed = int_d kvs "seed" 42; trials = pos_int_d kvs "trials" 20;
-              mode }
+            { rows = int_d kvs "rows" 12; cols = int_d kvs "cols" 12;
+              spare_rows = int_d kvs "spare_rows" 2;
+              spare_cols = int_d kvs "spare_cols" 2;
+              density = float_d kvs "density" 0.05;
+              seed = int_d kvs "seed" 42; trials = int_d kvs "trials" 20;
+              mode = str_d kvs "mode" "exact" }
       | k ->
           bad
             "job spec: unknown kind %S (have: synth, flow, bist, bism, yield, \
              repair)"
             k
     in
+    check_spec spec;
     Ok { id; budget_steps; spec }
   with Bad e -> Error e
 

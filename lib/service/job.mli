@@ -62,7 +62,13 @@ type t = { id : string option; budget_steps : int option; spec : spec }
 val kind : t -> string
 (** The spec's ["kind"] string. *)
 
+val validate : spec -> (unit, Nxc_guard.Error.t) result
+(** The range checks (positive sizes and trials, non-negative spares,
+    density in [[0, 1]], known scheme/mode/backend, [k <= n]) that both
+    {!of_json} and the CLI subcommands apply. *)
+
 val of_json : Nxc_obs.Json.t -> (t, Nxc_guard.Error.t) result
+(** Field and type checks, then {!validate}. *)
 
 val of_line : string -> (t, Nxc_guard.Error.t) result
 (** Parse one JSON text line through {!of_json}. *)

@@ -326,7 +326,26 @@ let test_job_parse_bad () =
       {|{"kind":"synth","expr":"x1","bogus":1}|};
       {|{"kind":"bism","n":24,"k":10,"scheme":"psychic"}|};
       {|{"kind":"bist","rows":0,"cols":4}|};
-      {|{"kind":"yield","n":16,"density":1.5}|} ]
+      {|{"kind":"yield","n":16,"density":1.5}|};
+      {|{"kind":"bism","n":4,"k":10}|};
+      {|{"kind":"repair","trials":0}|};
+      {|{"kind":"synth","expr":"x1","cover_backend":"zdd"}|} ]
+
+(* jobs built in code skip of_json; the engine applies the same checks
+   and answers with an error envelope instead of raising *)
+let test_engine_validates_built_jobs () =
+  let job spec = { Svc.Job.id = None; budget_steps = None; spec } in
+  let outs =
+    Svc.Engine.run_jobs
+      [ job (Svc.Job.Bism
+               { n = 4; k = 10; density = 0.05; seed = 1; trials = 2;
+                 scheme = "greedy" });
+        job (Svc.Job.Repair
+               { rows = 4; cols = 4; spare_rows = 1; spare_cols = 1;
+                 density = 0.05; seed = 1; trials = 2; mode = "psychic" }) ]
+  in
+  Alcotest.(check (list int)) "invalid input" [ 3; 3 ]
+    (List.map (fun (o : Svc.Engine.outcome) -> o.exit_code) outs)
 
 (* ---------------- engine ------------------------------------------- *)
 
@@ -571,7 +590,9 @@ let () =
       ( "engine",
         [ Alcotest.test_case "npn cache hit" `Quick test_engine_npn_hit;
           qcheck_engine_npn_equiv;
-          Alcotest.test_case "determinism" `Quick test_engine_determinism ] );
+          Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "validates built jobs" `Quick
+            test_engine_validates_built_jobs ] );
       ( "stream",
         [ Alcotest.test_case "determinism vs synchronous loop" `Quick
             test_stream_determinism;
