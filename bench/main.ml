@@ -7,6 +7,11 @@
    to BENCH_results.json (override the path with BENCH_OUT) next to the
    human-readable tables it has always printed.
 
+   Experiments enforce their own regression floors with [gate]: a
+   failed gate stops the run, still writes the records of the
+   experiments that finished, and exits 1 with the gate's message.
+   The gate table is in docs/PERFORMANCE.md.
+
    Usage: dune exec bench/main.exe                      (everything)
           dune exec bench/main.exe -- E4 E7             (selected)
           dune exec bench/main.exe -- --jobs 4 E7 PAR   (parallel)    *)
@@ -25,17 +30,31 @@ module J = Nxc_obs.Json
 let jobs = ref 1
 let the_pool : Nxc_par.Pool.t option ref = ref None
 
+exception Gate_failed of string
+
+(* [gate id cond fmt ...] enforces one regression floor of experiment
+   [id]: when [cond] is false the run stops with the formatted message. *)
+let gate id cond fmt =
+  Format.kasprintf
+    (fun msg -> if not cond then raise (Gate_failed (id ^ ": " ^ msg)))
+    fmt
+
+(* [time f] is [f ()] paired with its wall-clock duration in ms. *)
+let time f =
+  let t0 = Obs.Clock.now_ns () in
+  let v = f () in
+  (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
+
 (* Exact-cover provenance for the synthesis experiments: how much
-   branch-and-bound search the covers cost, and whether any of them
-   came back degraded.  Meaningful because [run_one] resets the metric
-   registry before each experiment. *)
+   branch-and-bound search the covers cost, and whether every cover is
+   exact (none came back degraded).  Meaningful because [run_one]
+   resets the metric registry before each experiment. *)
 let cover_provenance () =
   let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  let status =
-    if c "qm.budget_exhausted" = 0 && c "minimize.degraded" = 0 then "exact"
-    else "degraded"
-  in
-  [ ("bnb_nodes", J.Int (c "qm.bnb_nodes")); ("cover_status", J.Str status) ]
+  let exact = c "qm.budget_exhausted" = 0 && c "minimize.degraded" = 0 in
+  ( exact,
+    [ ("bnb_nodes", J.Int (c "qm.bnb_nodes"));
+      ("cover_status", J.Str (if exact then "exact" else "degraded")) ] )
 
 let section id title =
   Format.printf "@.=====================================================@.";
@@ -72,10 +91,12 @@ let e1 () =
     (Nxc_suite.core ());
   Format.printf
     "@.paper check: xnor2 has 4 literals / 2 products -> diode 2x5, fet 4x4@.";
+  let exact, provenance = cover_provenance () in
+  gate "E1" exact "core-suite covers regressed to degraded";
   [ ("benchmarks", J.Int !count);
     ("total_products", J.Int !total_products);
     ("total_distinct_literals", J.Int !total_literals) ]
-  @ cover_provenance ()
+  @ provenance
 
 (* ------------------------------------------------------------------ *)
 (* E2: Fig. 5 — four-terminal lattice size formula + Fig. 4 example    *)
@@ -210,7 +231,7 @@ let e5 () =
 (* E6: BIST coverage and BISD block codes                              *)
 (* ------------------------------------------------------------------ *)
 
-let e6 () =
+let e6_sweep () =
   section "E6" "BIST exhaustive coverage, BISD logarithmic codes (IV.A)";
   Format.printf "%-8s %8s %9s %8s %9s %9s@." "array" "faults" "configs"
     "(group)" "vectors" "coverage";
@@ -261,6 +282,14 @@ let e6 () =
     ("located_6x6", J.Int !located);
     ("pinned_6x6", J.Int !pinned);
     ("universe_6x6", J.Int (List.length universe)) ]
+
+(* the packed BIST kernels hold the sweep around half a second; scalar
+   speed takes ~14 s *)
+let e6 () =
+  let headline, ms = time e6_sweep in
+  gate "E6" (ms <= 8000.0)
+    "coverage sweep regressed to scalar speed (%.0f ms > 8000)" ms;
+  headline
 
 (* ------------------------------------------------------------------ *)
 (* E7: BISM regimes across defect density                              *)
@@ -493,7 +522,7 @@ let e11 () =
      currency; sharing never needs more of them@.";
   [ ("total_shared_products", J.Int !tot_shared);
     ("total_separate_products", J.Int !tot_separate) ]
-  @ cover_provenance ()
+  @ snd (cover_provenance ())
 
 (* ------------------------------------------------------------------ *)
 (* E12: transient faults and modular redundancy                        *)
@@ -783,7 +812,7 @@ let e17 () =
      logical array; the BISM arms map the same (n-s) x (n-s) logical
      array onto the full chip.  Both succeed exactly when s rows and s
      columns can absorb every defect, so exact BIRA must dominate blind
-     sampling — that is the gate tools/bench_check enforces. *)
+     sampling, which the min_margin_vs_blind gate below enforces. *)
   let n = 16 and trials = 30 and max_configs = 300 in
   Format.printf
     "%dx%d silicon, %d chips per cell, BISM budget %d configurations@.@." n n
@@ -845,11 +874,18 @@ let e17 () =
       ~profile:(R.Defect.uniform 0.03)
   in
   let identical = cell None = cell !the_pool in
-  assert identical;
   Format.printf
     "@.expected shape: exact repair dominates blind at every cell (same \
      feasibility condition, exhaustive search); greedy BISM reconfigures \
      around lines and can rescue more@.";
+  gate "E17" identical "determinism flag regressed (identical = false)";
+  gate "E17" (!min_margin >= 0)
+    "repair success fell below blind BISM at a matched cell \
+     (min_margin_vs_blind = %d)"
+    !min_margin;
+  gate "E17"
+    (Float.is_finite !max_overhead && !max_overhead > 0.0)
+    "spare area overhead is not finite positive (%g)" !max_overhead;
   let total label = Option.value ~default:0 (Hashtbl.find_opt totals label) in
   [ ("identical", J.Bool identical);
     ("repair_mapped", J.Int (total "repair"));
@@ -917,7 +953,8 @@ let e18 () =
     "cover parity: %d functions minimized by both backends (%d with both \
      exact), equivalent everywhere, sizes equal whenever exact: %b@.@."
     !checked !both_exact !identical;
-  assert !identical;
+  gate "E18" !identical
+    "SAT covering disagreed with branch-and-bound (identical_covers = false)";
   assert (!both_exact > 0);
   (* part B: density sweep where exact assignment rescues chips hybrid
      BISM gave up on — and proves the remainder unmappable, which no
@@ -974,6 +1011,9 @@ let e18 () =
     "@.every rescue is a mapping the sampler missed (witness re-checked \
      against the defect map); every unmappable verdict is a proof the \
      sampler could never produce@.";
+  gate "E18" (!rescues >= 1)
+    "exact assignment rescued no chip hybrid BISM missed (sat_rescues = %d)"
+    !rescues;
   [ ("functions_checked", J.Int !checked);
     ("both_exact", J.Int !both_exact);
     ("identical_covers", J.Bool !identical);
@@ -992,11 +1032,6 @@ let e_par () =
     R.Bism.monte_carlo ?pool (R.Rng.create 4242) (R.Bism.Hybrid 10) ~trials ~n
       ~profile:(R.Defect.uniform 0.03) ~k_rows:k ~k_cols:k ~max_configs:300
   in
-  let time f =
-    let t0 = Obs.Clock.now_ns () in
-    let v = f () in
-    (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
-  in
   let seq, seq_ms = time (fun () -> work None) in
   let par, par_ms = time (fun () -> work !the_pool) in
   let identical = seq = par in
@@ -1012,103 +1047,13 @@ let e_par () =
       "  (single runner slot: pass --jobs N on a multicore host to \
        measure a real speedup)@.";
   (* the whole point: the pool must never change seeded results *)
-  assert identical;
+  gate "PAR" identical "determinism flag regressed (identical = false)";
   [ ("jobs", J.Int !jobs);
     ("slots", J.Int slots);
     ("identical", J.Bool identical);
     ("seq_ms", J.Float seq_ms);
     ("par_ms", J.Float par_ms);
     ("speedup", J.Float (seq_ms /. par_ms)) ]
-
-(* ------------------------------------------------------------------ *)
-(* SERVICE: job engine throughput and NPN cache hit rate               *)
-(* ------------------------------------------------------------------ *)
-
-let e_service () =
-  section "SERVICE" "job engine: batch throughput and NPN cache hit rate";
-  let module Svc = Nxc_service in
-  (* Five base functions; every variant below is an NPN transform of
-     one of them, re-expressed as a minimized cover string.  A cold
-     batch therefore computes each class once and resolves the variants
-     from the cache; a warm rerun resolves everything. *)
-  let bases =
-    [ "x1x2 + x1'x2'"; "x1x2 + x2x3 + x1'x3'"; "x1 ^ x2 ^ x3";
-      "(x1 + x2')(x3 + x4)"; "x1x2x3 + x1'x2'x3'" ]
-  in
-  let variants_per_base = 5 in
-  let synth_exprs =
-    List.concat_map
-      (fun expr ->
-        let f = Boolfunc.table (Parse.expr expr) in
-        let n = Truth_table.n_vars f in
-        let variant i =
-          let t =
-            { Npn.perm = Array.init n (fun v -> (v + i) mod n);
-              input_neg = Array.init n (fun v -> (i lsr v) land 1 = 1);
-              output_neg = i land 1 = 1 }
-          in
-          Cover.to_string (Minimize.sop_table (Npn.apply t f))
-        in
-        expr :: List.init variants_per_base (fun i -> variant (i + 1)))
-      bases
-  in
-  let jobs_list =
-    List.map
-      (fun expr ->
-        { Svc.Job.id = None; budget_steps = None;
-          spec = Svc.Job.Synth { expr; cover_backend = "bnb" } })
-      synth_exprs
-    @ [ { Svc.Job.id = None; budget_steps = None;
-          spec = Svc.Job.Bist { rows = 8; cols = 8 } };
-        { Svc.Job.id = None; budget_steps = None;
-          spec =
-            Svc.Job.Yield { n = 16; density = 0.05; seed = 1; trials = 10 } } ]
-  in
-  let n_jobs = List.length jobs_list in
-  let time f =
-    let t0 = Obs.Clock.now_ns () in
-    let v = f () in
-    (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
-  in
-  let cache = Svc.Cache.create () in
-  let cold, cold_ms =
-    time (fun () -> Svc.Engine.run_jobs ?pool:!the_pool ~cache jobs_list)
-  in
-  let cold_hits = Svc.Cache.hits cache
-  and cold_misses = Svc.Cache.misses cache in
-  let warm, warm_ms =
-    time (fun () -> Svc.Engine.run_jobs ?pool:!the_pool ~cache jobs_list)
-  in
-  let warm_hits = Svc.Cache.hits cache - cold_hits in
-  let identical =
-    List.for_all2
-      (fun (a : Svc.Engine.outcome) b ->
-        J.to_string a.envelope = J.to_string b.Svc.Engine.envelope)
-      cold warm
-  in
-  let rate ms = float_of_int n_jobs /. (ms /. 1000.0) in
-  Format.printf
-    "%d jobs (%d synth over %d NPN classes + 2 simulations):@.  cold \
-     %.1f ms (%.0f jobs/s), %d hits / %d misses@.  warm %.1f ms (%.0f \
-     jobs/s), %d hits (rate %.2f)@.  cold and warm envelopes identical: %b@."
-    n_jobs
-    (List.length synth_exprs)
-    (List.length bases) cold_ms (rate cold_ms) cold_hits cold_misses warm_ms
-    (rate warm_ms) warm_hits
-    (float_of_int warm_hits /. float_of_int n_jobs)
-    identical;
-  (* determinism is the service contract *)
-  assert identical;
-  [ ("jobs", J.Int n_jobs);
-    ("cold_ms", J.Float cold_ms);
-    ("warm_ms", J.Float warm_ms);
-    ("cold_jobs_per_s", J.Float (rate cold_ms));
-    ("warm_jobs_per_s", J.Float (rate warm_ms));
-    ("cold_hits", J.Int cold_hits);
-    ("cold_misses", J.Int cold_misses);
-    ("warm_hits", J.Int warm_hits);
-    ("warm_hit_rate", J.Float (float_of_int warm_hits /. float_of_int n_jobs));
-    ("identical", J.Bool identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* LOADGEN: JSONL job-mix replay with latency quantiles                *)
@@ -1161,11 +1106,6 @@ let e_loadgen () =
   in
   let lines = List.map (fun j -> J.to_string (Svc.Job.to_json j)) jobs_list in
   let n_jobs = List.length lines in
-  let time f =
-    let t0 = Obs.Clock.now_ns () in
-    let v = f () in
-    (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
-  in
   (* serve-style replay: one job at a time (a one-line batch, no
      response memo), per-job latency into the given HDR instrument *)
   let replay hdr cache =
@@ -1179,7 +1119,11 @@ let e_loadgen () =
   in
   let cache = Svc.Cache.create () in
   let cold, cold_ms = time (fun () -> replay lat_cold cache) in
+  let cold_hits = Svc.Cache.hits cache in
   let warm, warm_ms = time (fun () -> replay lat_warm cache) in
+  let warm_hit_rate =
+    float_of_int (Svc.Cache.hits cache - cold_hits) /. float_of_int n_jobs
+  in
   (* batch replay of the same lines at --jobs N on a fresh cache: the
      envelopes must still match the serve-style passes byte for byte *)
   let batch, batch_ms =
@@ -1207,8 +1151,13 @@ let e_loadgen () =
     "batch replay at --jobs %d: %.1f ms; cold/warm/batch envelopes \
      identical: %b@."
     !jobs batch_ms identical;
+  Format.printf "warm pass cache hit rate: %.2f@." warm_hit_rate;
   (* determinism is the serving contract; telemetry must not bend it *)
-  assert identical;
+  gate "LOADGEN" identical "determinism flag regressed (identical = false)";
+  (* a warm rerun of the mix must resolve (almost) everything from the
+     cache *)
+  gate "LOADGEN" (warm_hit_rate >= 0.95)
+    "warm cache hit rate regressed (%.2f < 0.95)" warm_hit_rate;
   (* --jobs sweep: replay the mix through the serve path at each
      concurrency level and two offered loads (the mix once, and the mix
      4x — a hot key distribution).  Level 1 resolves one line at a time
@@ -1331,11 +1280,33 @@ let e_loadgen () =
     "warm hot-load throughput at --jobs 4 vs --jobs 1: %.1fx; envelopes \
      identical across levels: %b@."
     speedup identical_across_jobs;
-  assert identical_across_jobs;
+  (* the SLO quantile pipeline must produce numbers at every level *)
+  let finite_positive x = Float.is_finite x && x > 0.0 in
+  gate "LOADGEN"
+    (finite_positive (q lat_warm 0.99))
+    "warm p99 is not a finite positive time (%g)" (q lat_warm 0.99);
+  List.iter
+    (fun level ->
+      let _, _, _, hdr = find_pass level "hot" in
+      gate "LOADGEN"
+        (finite_positive (q hdr 0.99))
+        "hot_p99_ms_jobs%d is not a finite positive time (%g)" level
+        (q hdr 0.99))
+    levels;
+  gate "LOADGEN" identical_across_jobs
+    "envelopes not byte-identical across --jobs levels";
+  (* a memo gate, not a scaling one: level 1 runs one-line batches
+     without the response memo, level 4 a memo-warmed stream *)
+  gate "LOADGEN"
+    (Float.is_finite speedup && speedup >= 4.0)
+    "memo gate: memo-warmed stream at --jobs 4 below 4x the warm \
+     throughput of one-line batches (warm_speedup_jobs4 = %.1f)"
+    speedup;
   [ ("jobs", J.Int n_jobs);
     ("identical", J.Bool identical);
     ("identical_across_jobs", J.Bool identical_across_jobs);
     ("warm_speedup_jobs4", J.Float speedup);
+    ("warm_hit_rate", J.Float warm_hit_rate);
     ("cold_ms", J.Float cold_ms);
     ("warm_ms", J.Float warm_ms);
     ("batch_ms", J.Float batch_ms);
@@ -1367,11 +1338,6 @@ let e_bitslice () =
     in
     Lt.Lattice.make ~n_vars:n
       (Array.init rows (fun _ -> Array.init cols (fun _ -> site ())))
-  in
-  let time f =
-    let t0 = Obs.Clock.now_ns () in
-    let v = f () in
-    (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
   in
   let scratch = Lt.Lattice.scratch () in
   Format.printf
@@ -1419,8 +1385,9 @@ let e_bitslice () =
      per-call allocation at the output table itself@."
     !identical;
   (* both halves of the contract: bit-identical results, real speedup *)
-  assert !identical;
-  assert (!min_speedup >= 4.0);
+  gate "BITSLICE" !identical "determinism flag regressed (identical = false)";
+  gate "BITSLICE" (!min_speedup >= 4.0)
+    "kernel speedup regressed (min_speedup = %.1f)" !min_speedup;
   ("identical", J.Bool !identical)
   :: ("min_speedup", J.Float !min_speedup)
   :: List.concat_map
@@ -1439,11 +1406,6 @@ let e_bitslice () =
 
 let e_bistslice () =
   section "BISTSLICE" "bit-sliced BIST syndrome sweep vs per-vector scalar";
-  let time f =
-    let t0 = Obs.Clock.now_ns () in
-    let v = f () in
-    (v, Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
-  in
   Format.printf
     "full-universe syndrome sweep (every fault's failing (config, vector) \
      pairs), per-vector scalar evaluation vs one packed kernel pass per \
@@ -1479,8 +1441,9 @@ let e_bistslice () =
      once; the scalar path re-asserts it per vector visit)@."
     !identical;
   (* both halves of the contract: bit-identical syndromes, real speedup *)
-  assert !identical;
-  assert (!min_speedup >= 4.0);
+  gate "BISTSLICE" !identical "determinism flag regressed (identical = false)";
+  gate "BISTSLICE" (!min_speedup >= 4.0)
+    "kernel speedup regressed (min_speedup = %.1f)" !min_speedup;
   ("identical", J.Bool !identical)
   :: ("min_speedup", J.Float !min_speedup)
   :: List.concat_map
@@ -1497,32 +1460,73 @@ let experiments =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("PAR", e_par); ("SERVICE", e_service); ("LOADGEN", e_loadgen);
+    ("E17", e17); ("E18", e18); ("PAR", e_par); ("LOADGEN", e_loadgen);
     ("BITSLICE", e_bitslice); ("BISTSLICE", e_bistslice); ("TIMING", timing) ]
+
+(* The registry snapshot without the instruments that never fired:
+   zero counters and gauges, empty histograms. *)
+let live_metrics () =
+  let live = function
+    | J.Int 0 -> false
+    | J.Float f -> f <> 0.0
+    | J.Obj _ as h -> J.member "count" h <> Some (J.Int 0)
+    | _ -> true
+  in
+  let prune = function
+    | J.Obj ms -> J.Obj (List.filter (fun (_, v) -> live v) ms)
+    | m -> m
+  in
+  match Obs.Metrics.dump_json () with
+  | J.Obj groups -> J.Obj (List.map (fun (group, m) -> (group, prune m)) groups)
+  | dump -> dump
 
 (* Run one experiment under a wall-clock timer with a fresh metrics
    registry, and capture the headline numbers plus the metric snapshot. *)
 let run_one id f =
   Obs.Metrics.reset ();
-  let t0 = Obs.Clock.now_ns () in
-  let headline = f () in
-  let dur_ns = Obs.Clock.now_ns () - t0 in
+  let headline, ms = time f in
   J.Obj
     [ ("id", J.Str id);
-      ("wall_ms", J.Float (Obs.Clock.ns_to_ms dur_ns));
+      ("wall_ms", J.Float ms);
       ("headline", J.Obj headline);
-      ("metrics", Obs.Metrics.dump_json ()) ]
+      ("metrics", live_metrics ()) ]
+
+let usage () =
+  prerr_endline "usage: main.exe [--jobs N | -j N | --jobs=N] [EXPERIMENT ...]";
+  exit 2
+
+(* Write the results file from the finished records, newest first. *)
+let write_results records =
+  let out =
+    Option.value (Sys.getenv_opt "BENCH_OUT") ~default:"BENCH_results.json"
+  in
+  let doc =
+    J.Obj
+      [ ("schema", J.Str "nanoxcomp-bench/1");
+        ("jobs", J.Int !jobs);
+        ("experiments", J.List (List.rev records)) ]
+  in
+  let oc = open_out out in
+  output_string oc (J.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "@.wrote %s (%d experiments)@." out (List.length records)
 
 let () =
-  (* accept --jobs N / -j N / --jobs=N anywhere among the experiment
-     ids; everything else must be an experiment name *)
+  (* accept --jobs N / -j N / --jobs=N (N >= 0, 0 = one slot per core)
+     anywhere among the experiment ids; everything else must be an
+     experiment name *)
+  let set_jobs v =
+    match int_of_string_opt v with Some n when n >= 0 -> jobs := n | _ -> usage ()
+  in
   let rec parse_args acc = function
     | [] -> List.rev acc
     | ("--jobs" | "-j") :: v :: rest ->
-        jobs := int_of_string v;
+        set_jobs v;
         parse_args acc rest
+    | [ ("--jobs" | "-j") ] -> usage ()
     | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        jobs := int_of_string (String.sub arg 7 (String.length arg - 7));
+        set_jobs (String.sub arg 7 (String.length arg - 7));
         parse_args acc rest
     | arg :: rest -> parse_args (arg :: acc) rest
   in
@@ -1531,42 +1535,41 @@ let () =
     | [] -> List.map fst experiments
     | args -> args
   in
-  Nxc_par.Pool.with_jobs !jobs @@ fun pool ->
-  the_pool := pool;
-  let records =
-    try
-      List.map
+  List.iter
+    (fun id ->
+      if not (List.mem_assoc (String.uppercase_ascii id) experiments) then begin
+        Format.eprintf "unknown experiment %s (have: %s)@." id
+          (String.concat ", " (List.map fst experiments));
+        exit 2
+      end)
+    requested;
+  let records = ref [] in
+  let failure =
+    Nxc_par.Pool.with_jobs !jobs @@ fun pool ->
+    the_pool := pool;
+    match
+      List.iter
         (fun id ->
-          match List.assoc_opt (String.uppercase_ascii id) experiments with
-          | Some f -> run_one (String.uppercase_ascii id) f
-          | None ->
-              Format.eprintf "unknown experiment %s (have: %s)@." id
-                (String.concat ", " (List.map fst experiments));
-              exit 2)
+          let id = String.uppercase_ascii id in
+          records := run_one id (List.assoc id experiments) :: !records)
         requested
-    with e ->
+    with
+    | () -> None
+    | exception e -> Some e
+  in
+  write_results !records;
+  Option.iter
+    (fun e ->
       (* dump the flight-recorder ring so CI can attach what the bench
-         was doing when an assertion tripped *)
+         was doing when a gate or an assertion tripped *)
       let oc = open_out "flight.jsonl" in
       let ppf = Format.formatter_of_out_channel oc in
       Obs.Recorder.export_jsonl ppf;
       Format.pp_print_flush ppf ();
       close_out oc;
-      Format.eprintf "bench failed (%s); flight recorder in flight.jsonl@."
-        (Printexc.to_string e);
-      raise e
-  in
-  let out =
-    Option.value (Sys.getenv_opt "BENCH_OUT") ~default:"BENCH_results.json"
-  in
-  let doc =
-    J.Obj
-      [ ("schema", J.Str "nanoxcomp-bench/1");
-        ("jobs", J.Int !jobs);
-        ("experiments", J.List records) ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.wrote %s (%d experiments)@." out (List.length records)
+      (match e with
+      | Gate_failed msg -> Format.eprintf "bench gate failed: %s@." msg
+      | e -> Format.eprintf "bench failed (%s)@." (Printexc.to_string e));
+      Format.eprintf "flight recorder in flight.jsonl@.";
+      exit 1)
+    failure
