@@ -1,4 +1,4 @@
-.PHONY: build test check doc bench bench-smoke smoke chaos clean
+.PHONY: build test check doc bench bench-smoke nxbench-check smoke chaos clean
 
 build:
 	dune build @all
@@ -45,6 +45,22 @@ bench:
 # failed gate; the gate table lives in docs/PERFORMANCE.md
 bench-smoke:
 	BENCH_OUT=bench_smoke.json dune exec bench/main.exe -- --jobs 2 BITSLICE BISTSLICE E6 PAR LOADGEN E17 E1 E11 E18
+
+# nxbench correctness check: one short traced run per workload; the
+# run replays its trace through the engine and the last output line
+# must report "correct": true (an envelope or cache-traffic mismatch
+# between the engine and nxbench's replay fails it)
+NXBENCH_WORKLOADS = npn_hot synth_cold fault_flow
+
+nxbench-check:
+	@for w in $(NXBENCH_WORKLOADS); do \
+	  out=$$(python3 nxbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1) \
+	    || { echo "nxbench-check: $$w: run failed"; exit 1; }; \
+	  last=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  printf '%s\n' "$$last" | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read()).get("correct") is True else 1)' \
+	    || { echo "nxbench-check: $$w: not correct: $$last"; exit 1; }; \
+	  echo "nxbench-check: $$w: correct"; \
+	done
 
 # quick end-to-end exercise of the observability surface
 smoke:

@@ -1118,11 +1118,14 @@ let e_loadgen () =
       lines
   in
   let cache = Svc.Cache.create () in
+  let hits () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "service.cache.hits")
+  in
   let cold, cold_ms = time (fun () -> replay lat_cold cache) in
-  let cold_hits = Svc.Cache.hits cache in
+  let cold_hits = hits () in
   let warm, warm_ms = time (fun () -> replay lat_warm cache) in
   let warm_hit_rate =
-    float_of_int (Svc.Cache.hits cache - cold_hits) /. float_of_int n_jobs
+    float_of_int (hits () - cold_hits) /. float_of_int n_jobs
   in
   (* batch replay of the same lines at --jobs N on a fresh cache: the
      envelopes must still match the serve-style passes byte for byte *)

@@ -5,7 +5,7 @@ let m_calls = Obs.Metrics.counter "qm.minimize_calls"
 let m_primes = Obs.Metrics.counter "qm.prime_implicants"
 let m_nodes = Obs.Metrics.counter "qm.bnb_nodes"
 let m_budget_exhausted = Obs.Metrics.counter "qm.budget_exhausted"
-let h_primes = Obs.Metrics.histogram "qm.primes_per_call"
+let h_primes = Obs.Metrics.hdr "qm.primes_per_call"
 
 exception Guard_exhausted
 
@@ -170,7 +170,7 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
         Error (Guard.Budget.error guard)
     | ps ->
         Obs.Metrics.add m_primes (List.length ps);
-        Obs.Metrics.observe h_primes (List.length ps);
+        Obs.Metrics.hdr_observe h_primes (List.length ps);
         let primes_arr = Array.of_list ps in
         (* essential primes: sole cover of some ON minterm *)
         let essential = Hashtbl.create 16 in

@@ -31,22 +31,13 @@ type shard = {
   tbl : (string, entry) Hashtbl.t;
   lock : Mutex.t;
   mutable tick : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
   metrics : shard_metrics option;
 }
 
-type t = { shards_arr : shard array; cap : int; shard_cap : int }
+type t = { shards_arr : shard array; shard_cap : int }
 
 let make_shard metrics =
-  { tbl = Hashtbl.create 64;
-    lock = Mutex.create ();
-    tick = 0;
-    s_hits = 0;
-    s_misses = 0;
-    s_evictions = 0;
-    metrics }
+  { tbl = Hashtbl.create 64; lock = Mutex.create (); tick = 0; metrics }
 
 let create ?(capacity = 4096) ?(shards = 1) () =
   if capacity <= 0 then invalid_arg "Nxc_service.Cache.create: capacity <= 0";
@@ -67,10 +58,8 @@ let create ?(capacity = 4096) ?(shards = 1) () =
               (Printf.sprintf "service.cache.shard%d.evictions" i) }
   in
   { shards_arr = Array.init shards (fun i -> make_shard (metrics i));
-    cap = capacity;
     shard_cap }
 
-let capacity t = t.cap
 let shards t = Array.length t.shards_arr
 
 (* Stable shard routing: OCaml's polymorphic hash is a fixed
@@ -86,16 +75,6 @@ let size t =
   Array.fold_left
     (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.tbl))
     0 t.shards_arr
-
-let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards_arr
-let hits t = sum (fun sh -> sh.s_hits) t
-let misses t = sum (fun sh -> sh.s_misses) t
-let evictions t = sum (fun sh -> sh.s_evictions) t
-
-let shard_stats t i =
-  let sh = t.shards_arr.(i) in
-  locked sh (fun () ->
-      (Hashtbl.length sh.tbl, sh.s_hits, sh.s_misses, sh.s_evictions))
 
 let peek t key =
   let sh = t.shards_arr.(shard_of t key) in
@@ -114,14 +93,12 @@ let find t key =
       match Hashtbl.find_opt sh.tbl key with
       | Some e ->
           touch sh e;
-          sh.s_hits <- sh.s_hits + 1;
           Nxc_obs.Metrics.incr m_hits;
           (match sh.metrics with
           | Some m -> Nxc_obs.Metrics.incr m.sm_hits
           | None -> ());
           Some e.value
       | None ->
-          sh.s_misses <- sh.s_misses + 1;
           Nxc_obs.Metrics.incr m_misses;
           (match sh.metrics with
           | Some m -> Nxc_obs.Metrics.incr m.sm_misses
@@ -140,7 +117,6 @@ let evict_lru sh =
   match !victim with
   | Some (key, _) ->
       Hashtbl.remove sh.tbl key;
-      sh.s_evictions <- sh.s_evictions + 1;
       Nxc_obs.Metrics.incr m_evictions;
       (match sh.metrics with
       | Some m -> Nxc_obs.Metrics.incr m.sm_evictions

@@ -18,13 +18,14 @@
     deterministic), so today the shards see no lock contention; they
     split the traffic counters only.
 
-    Lookups and insertions maintain the [service.cache.hits],
-    [service.cache.misses] and [service.cache.evictions] counters in
-    {!Nxc_obs.Metrics} (plus per-instance totals for reporting).  A
-    multi-shard cache additionally maintains per-shard
-    [service.cache.shard<i>.{hits,misses,evictions}] counters, so shard
-    balance is visible in [stats --prom] and the serve [__stats__]
-    snapshot. *)
+    {b Traffic.}  The cache keeps no tallies of its own: lookups and
+    insertions count only in the {!Nxc_obs.Metrics} registry, under
+    [service.cache.hits], [service.cache.misses] and
+    [service.cache.evictions].  A multi-shard cache additionally
+    maintains per-shard [service.cache.shard<i>.{hits,misses,evictions}]
+    counters, so shard balance is visible in [stats --prom] and the
+    serve [__stats__] snapshot.  Callers that want the traffic of one
+    pass read the registry counters before and after it. *)
 
 type t
 
@@ -34,8 +35,6 @@ val create : ?capacity:int -> ?shards:int -> unit -> t
     into a full shard evicts that shard's least recently used entry.
     @raise Invalid_argument when [capacity <= 0] or [shards <= 0]. *)
 
-val capacity : t -> int
-
 val shards : t -> int
 (** Number of shards (1 for the historical unsharded behavior). *)
 
@@ -43,10 +42,6 @@ val shard_of : t -> string -> int
 (** [shard_of t key] is the shard index [key] routes to: a fixed
     polynomial hash of the key modulo {!shards}, stable across calls,
     runs and domains. *)
-
-val shard_stats : t -> int -> int * int * int * int
-(** [shard_stats t i] is [(size, hits, misses, evictions)] of shard
-    [i] — the per-shard slice of the instance totals below. *)
 
 val size : t -> int
 (** Entries currently stored (over all shards). *)
@@ -61,12 +56,6 @@ val find : t -> string -> Nxc_obs.Json.t option
 val add : t -> string -> Nxc_obs.Json.t -> unit
 (** Insert or overwrite, evicting the shard's LRU entry when the shard
     is full. *)
-
-val hits : t -> int
-
-val misses : t -> int
-
-val evictions : t -> int
 
 val default_path : string
 (** [".nxc-cache"] — the CLI's default persistence file (gitignored). *)

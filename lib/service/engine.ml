@@ -109,18 +109,20 @@ let plan_synth (job : Job.t) expr cover_backend =
         | None -> ""
       in
       (* both backends find a minimum cover, but not necessarily the
-         same one — keep their cache entries apart *)
+         same one — keep their cache entries apart, and name the backend
+         explicitly so the process default ([--cover-backend]) never
+         leaks into a job that asked for the other one *)
       let backend, backend_tag =
         match cover_backend with
-        | "sat" -> (Some Qm.Sat, ":sat")
-        | _ -> (None, "")
+        | "sat" -> (Qm.Sat, ":sat")
+        | _ -> (Qm.Bnb, "")
       in
       let key = "npn:" ^ Npn.table_key canon ^ phase ^ budget_tag ^ backend_tag in
       let compute () =
         with_job_budget job @@ fun () ->
         match
-          ( Minimize.sop_result ?cover_backend:backend f,
-            Minimize.sop_result ?cover_backend:backend (Boolfunc.dual f) )
+          ( Minimize.sop_result ~cover_backend:backend f,
+            Minimize.sop_result ~cover_backend:backend (Boolfunc.dual f) )
         with
         | Ok c, Ok d ->
             Ok
@@ -228,7 +230,8 @@ let plan_sim (job : Job.t) ?(exit_of = fun _ -> 0) compute =
       compute = (fun () -> with_job_budget job compute);
       render = (fun value -> Ok (value, exit_of value)) }
 
-let plan_keyed (job : Job.t) =
+(* [job] comes from {!Job.of_line}, which has already validated it *)
+let plan (job : Job.t) =
   match job.Job.spec with
   | Job.Synth { expr; cover_backend } -> plan_synth job expr cover_backend
   | Job.Flow { expr; n; density; seed } -> (
@@ -258,12 +261,6 @@ let plan_keyed (job : Job.t) =
             (repair_payload ~trials
                (Sim.repair ~rows ~cols ~spare_rows ~spare_cols ~density ~seed
                   ~trials mode)))
-
-(* jobs built in code skip [Job.of_json], so validate here too *)
-let plan (job : Job.t) =
-  match Job.validate job.Job.spec with
-  | Error e -> Bad e
-  | Ok () -> plan_keyed job
 
 (* ------------------------------------------------------------------ *)
 (* envelopes                                                           *)
@@ -435,35 +432,25 @@ let run_tagged ?pool ?cache tags =
       out)
     rendered
 
-let tag_job job =
+let tag_line line =
   let t0 = Nxc_obs.Clock.now_ns () in
-  let tag =
-    match plan job with
-    | Bad e -> TBad (Some job, e)
-    | Keyed k -> TFollow (job, k)
-  in
-  let dt = Nxc_obs.Clock.now_ns () - t0 in
-  Nxc_obs.Metrics.hdr_observe m_lat_key dt;
-  { prep_ns = dt; tag }
+  let parsed = Job.of_line line in
+  let t1 = Nxc_obs.Clock.now_ns () in
+  Nxc_obs.Metrics.hdr_observe m_lat_parse (t1 - t0);
+  match parsed with
+  | Error e -> { prep_ns = t1 - t0; tag = TBad (None, e) }
+  | Ok job ->
+      let tag =
+        match plan job with
+        | Bad e -> TBad (Some job, e)
+        | Keyed k -> TFollow (job, k)
+      in
+      let t2 = Nxc_obs.Clock.now_ns () in
+      Nxc_obs.Metrics.hdr_observe m_lat_key (t2 - t1);
+      { prep_ns = t2 - t0; tag }
 
 (* planning (parse + NPN keying) is pure, so it runs on the pool too;
    Pool.map keeps results, metric merges and exceptions in job order *)
-let run_jobs ?pool ?cache jobs =
-  run_tagged ?pool ?cache (Nxc_par.Pool.map ?pool tag_job jobs)
-
-let tag_line line =
-  let t0 = Nxc_obs.Clock.now_ns () in
-  match Job.of_line line with
-  | Error e ->
-      let dt = Nxc_obs.Clock.now_ns () - t0 in
-      Nxc_obs.Metrics.hdr_observe m_lat_parse dt;
-      { prep_ns = dt; tag = TBad (None, e) }
-  | Ok job ->
-      let dt = Nxc_obs.Clock.now_ns () - t0 in
-      Nxc_obs.Metrics.hdr_observe m_lat_parse dt;
-      let t = tag_job job in
-      { t with prep_ns = t.prep_ns + dt }
-
 let run_lines ?pool ?cache lines =
   run_tagged ?pool ?cache (Nxc_par.Pool.map ?pool tag_line lines)
 
@@ -503,16 +490,16 @@ module Stream = struct
     mutable window : int;
     deadline_ms : float option;
     memo : (string, memo_entry) Hashtbl.t;
-    memo_cap : int;
     mutable memo_tick : int;
     mutable rev_pending : entry list;
     mutable queued : int;  (* Queued entries in rev_pending *)
     mutable ewma_ns : float;  (* smoothed per-job service time *)
   }
 
-  let create ?pool ?cache ?window ?deadline_ms ?(memo_capacity = 1024) () =
-    if memo_capacity <= 0 then
-      invalid_arg "Nxc_service.Engine.Stream.create: memo_capacity <= 0";
+  (* entries the response memo keeps before evicting its LRU line *)
+  let memo_capacity = 1024
+
+  let create ?pool ?cache ?window ?deadline_ms () =
     let cache = match cache with Some c -> c | None -> Cache.create () in
     let slots =
       match pool with Some p -> Nxc_par.Pool.slots p | None -> 1
@@ -525,7 +512,6 @@ module Stream = struct
       window;
       deadline_ms;
       memo = Hashtbl.create 64;
-      memo_cap = memo_capacity;
       memo_tick = 0;
       rev_pending = [];
       queued = 0;
@@ -550,7 +536,7 @@ module Stream = struct
         e.env <- env;
         e.exit_c <- exit_c
     | None ->
-        if Hashtbl.length t.memo >= t.memo_cap then begin
+        if Hashtbl.length t.memo >= memo_capacity then begin
           let victim = ref None in
           Hashtbl.iter
             (fun k e ->

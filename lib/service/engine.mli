@@ -1,6 +1,8 @@
-(** The job engine: schedule {!Job} specs, resolve them against a
-    {!Cache}, compute misses on a {!Nxc_par.Pool}, and emit one JSON
-    result envelope per job.
+(** The job engine: parse JSONL job lines into {!Job} specs, resolve
+    them against a {!Cache}, compute misses on a {!Nxc_par.Pool}, and
+    emit one JSON result envelope per job.  Batches and the {!Stream}
+    both go through {!run_lines}, so every job is validated once, by
+    {!Job.of_line}.
 
     {2 Envelope}
 
@@ -30,21 +32,15 @@
     one QM/Espresso run and still receive exact covers of {e their}
     function (re-verified on every hit).  The other kinds are seeded
     simulations; their whole result envelope payload is cached under
-    the canonical spec string ({!Job.cache_key}).
+    the canonical spec string ({!Job.cache_key}).  A synth job's
+    minimizer is the one its own ["cover_backend"] names (default
+    [bnb]), never the process-wide {!Nxc_logic.Qm.cover_backend}, so a
+    cached cover does not depend on which run filled the cache.
 
     {2 Determinism under parallelism}
 
-    [run_jobs] runs four passes.  Planning (parse + NPN keying, pure)
-    runs on the pool in job order; leader marking is sequential: the
-    {e first} job of each key group (not already cached) becomes the
-    group's single computing leader, and leaders' computes are
-    dispatched to the pool.  The cache pass then runs on the calling
-    domain in job order — every read and write happens there, so which
-    job computes and which job hits is a function of the job list and
-    the cache contents, never of scheduling.  Finally rendering (a pure
-    function of the cache value and the request's own NPN transform,
-    including the hit-path re-verification) runs on the pool, and
-    envelopes are emitted sequentially in job order. *)
+    See {!run_lines}: all cache reads and writes happen on the calling
+    domain in job order, so envelopes never depend on [--jobs N]. *)
 
 type outcome = {
   envelope : Nxc_obs.Json.t;  (** the result line *)
@@ -52,16 +48,24 @@ type outcome = {
   cached : bool;  (** resolved from the cache (not part of the envelope) *)
 }
 
-val run_jobs :
-  ?pool:Nxc_par.Pool.t -> ?cache:Cache.t -> Job.t list -> outcome list
-(** Process a batch, one outcome per job in order.  Without [?cache] a
-    fresh in-memory cache still deduplicates within the batch. *)
-
 val run_lines :
   ?pool:Nxc_par.Pool.t -> ?cache:Cache.t -> string list -> outcome list
-(** {!run_jobs} over raw JSONL lines; a line {!Job.of_line} rejects
-    becomes an error envelope (exit 3) rather than aborting the
-    batch. *)
+(** Process a batch of JSONL job lines, one outcome per line in order.
+    A line {!Job.of_line} rejects becomes an error envelope (exit 3)
+    rather than aborting the batch.  Without [?cache] a fresh in-memory
+    cache still deduplicates within the batch.
+
+    The batch runs in four passes.  Planning (parse, validate and NPN
+    keying, pure) runs on the pool in job order; leader marking is
+    sequential: the {e first} job of each key group (not already
+    cached) becomes the group's single computing leader, and leaders'
+    computes are dispatched to the pool.  The cache pass then runs on
+    the calling domain in job order — every read and write happens
+    there, so which job computes and which job hits is a function of
+    the job list and the cache contents, never of scheduling.  Finally
+    rendering (a pure function of the cache value and the request's own
+    NPN transform, including the hit-path re-verification) runs on the
+    pool, and envelopes are emitted sequentially in job order. *)
 
 val batch_exit : outcome list -> int
 (** The batch's process exit code: [0] when every job's ["exit"] is
@@ -100,12 +104,12 @@ module Stream : sig
     ?cache:Cache.t ->
     ?window:int ->
     ?deadline_ms:float ->
-    ?memo_capacity:int ->
     unit ->
     t
   (** [window] defaults to [4 × slots] of [pool] (4 without a pool) and
-      is clamped to [>= 1]; [memo_capacity] (default 1024) bounds the
-      response memo.  Without [?deadline_ms] every job is admitted. *)
+      is clamped to [>= 1]; the response memo keeps the 1024 most
+      recently used lines.  Without [?deadline_ms] every job is
+      admitted. *)
 
   val window : t -> int
 

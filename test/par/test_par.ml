@@ -223,13 +223,13 @@ let obs_tests =
     Alcotest.test_case "metric totals merge to sequential values" `Quick
       (fun () ->
         let c = Metrics.counter "test.par.work" in
-        let h = Metrics.histogram "test.par.size" in
+        let h = Metrics.hdr "test.par.size" in
         let task i =
           Metrics.incr c;
-          Metrics.observe h i;
+          Metrics.hdr_observe h i;
           i
         in
-        let total () = (Metrics.counter_value c, Metrics.hist_count h) in
+        let total () = (Metrics.counter_value c, Metrics.hdr_count h) in
         Metrics.reset ();
         ignore (P.map_range 25 task);
         let seq = total () in

@@ -121,38 +121,39 @@ let test_counter_gauge () =
        "Nxc_obs.Metrics: \"test.counter\" already registered as a non-gauge")
     (fun () -> ignore (Obs.Metrics.gauge "test.counter"))
 
-let test_histogram_buckets () =
-  Alcotest.(check int) "bucket of 0" 0 (Obs.Metrics.bucket_of 0);
-  Alcotest.(check int) "bucket of 1" 1 (Obs.Metrics.bucket_of 1);
-  Alcotest.(check int) "bucket of 2" 2 (Obs.Metrics.bucket_of 2);
-  Alcotest.(check int) "bucket of 3" 2 (Obs.Metrics.bucket_of 3);
-  Alcotest.(check int) "bucket of 4" 3 (Obs.Metrics.bucket_of 4);
-  Alcotest.(check int) "bucket of max_int" 62 (Obs.Metrics.bucket_of max_int);
-  (* bucket ranges partition [0, max_int] with no gaps *)
-  Alcotest.(check (pair int int)) "range 0" (0, 0) (Obs.Metrics.bucket_range 0);
-  for i = 1 to 62 do
-    let lo, hi = Obs.Metrics.bucket_range i in
-    let _, prev_hi = Obs.Metrics.bucket_range (i - 1) in
-    Alcotest.(check int) (Printf.sprintf "contiguous %d" i) (prev_hi + 1) lo;
-    Alcotest.(check bool) (Printf.sprintf "ordered %d" i) true (hi >= lo)
-  done;
-  let _, top = Obs.Metrics.bucket_range 62 in
-  Alcotest.(check int) "top bucket ends at max_int" max_int top;
-  Alcotest.check_raises "negative rejected"
-    (Invalid_argument "Nxc_obs.Metrics.observe: negative value") (fun () ->
-      Obs.Metrics.observe (Obs.Metrics.histogram "test.hist_neg") (-1))
-
 let test_histogram_observe () =
   Obs.Metrics.reset ();
-  let h = Obs.Metrics.histogram "test.hist" in
-  List.iter (Obs.Metrics.observe h) [ 0; 1; 3; 4; max_int ];
-  Alcotest.(check int) "count" 5 (Obs.Metrics.hist_count h);
-  Alcotest.(check bool) "sum" true (Obs.Metrics.hist_sum h = 8 + max_int);
-  Alcotest.(check int) "b0" 1 (Obs.Metrics.hist_bucket h 0);
-  Alcotest.(check int) "b1" 1 (Obs.Metrics.hist_bucket h 1);
-  Alcotest.(check int) "b2" 1 (Obs.Metrics.hist_bucket h 2);
-  Alcotest.(check int) "b3" 1 (Obs.Metrics.hist_bucket h 3);
-  Alcotest.(check int) "b62" 1 (Obs.Metrics.hist_bucket h 62)
+  let h = Obs.Metrics.hdr "test.hist" in
+  List.iter (Obs.Metrics.hdr_observe h) [ 0; 1; 3; 4; max_int ];
+  Alcotest.(check int) "count" 5 (Obs.Metrics.hdr_count h);
+  Alcotest.(check bool) "sum" true (Obs.Metrics.hdr_sum h = 8 + max_int);
+  (* each value sits alone in its bucket: the small ones in exact
+     single-value buckets, max_int in the top bucket *)
+  let top_lo, _ =
+    Obs.Metrics.hdr_bucket_range (Obs.Metrics.hdr_num_buckets - 1)
+  in
+  let buckets =
+    match
+      Option.bind
+        (J.member "histograms" (Obs.Metrics.dump_json ()))
+        (J.member "test.hist")
+    with
+    | Some hist -> (
+        match J.member "buckets" hist with
+        | Some (J.List bs) ->
+            List.map
+              (fun b ->
+                match (J.member "ge" b, J.member "le" b, J.member "n" b) with
+                | Some (J.Int lo), Some (J.Int hi), Some (J.Int n) -> (lo, hi, n)
+                | _ -> Alcotest.fail "malformed bucket")
+              bs
+        | _ -> Alcotest.fail "no buckets")
+    | None -> Alcotest.fail "test.hist not dumped"
+  in
+  Alcotest.(check (list (triple int int int)))
+    "buckets"
+    [ (0, 0, 1); (1, 1, 1); (3, 3, 1); (4, 4, 1); (top_lo, max_int, 1) ]
+    buckets
 
 let test_metrics_dump () =
   Obs.Metrics.reset ();
@@ -633,7 +634,6 @@ let () =
           qtest_json_roundtrip ] );
       ( "metrics",
         [ Alcotest.test_case "counter+gauge" `Quick test_counter_gauge;
-          Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
           Alcotest.test_case "hdr buckets" `Quick test_hdr_buckets;
           Alcotest.test_case "hdr quantile" `Quick test_hdr_quantile;

@@ -106,7 +106,16 @@ let arb_cover_transform n =
 
 (* ---------------- cache ------------------------------------------- *)
 
+(* cache traffic is counted only in the metric registry, so tests read
+   the [service.cache.*] counters before and after the operations *)
+let cache_count name =
+  Nxc_obs.Metrics.counter_value
+    (Nxc_obs.Metrics.counter ("service.cache." ^ name))
+
 let test_cache_lru () =
+  let h0 = cache_count "hits"
+  and m0 = cache_count "misses"
+  and e0 = cache_count "evictions" in
   let c = Svc.Cache.create ~capacity:2 () in
   Svc.Cache.add c "a" (J.Int 1);
   Svc.Cache.add c "b" (J.Int 2);
@@ -115,12 +124,12 @@ let test_cache_lru () =
   Svc.Cache.add c "c" (J.Int 3);
   (* evicts b *)
   Alcotest.(check int) "size at capacity" 2 (Svc.Cache.size c);
-  Alcotest.(check int) "one eviction" 1 (Svc.Cache.evictions c);
+  Alcotest.(check int) "one eviction" 1 (cache_count "evictions" - e0);
   Alcotest.(check bool) "a survives" true (Svc.Cache.peek c "a" <> None);
   Alcotest.(check bool) "b evicted" true (Svc.Cache.peek c "b" = None);
   ignore (Svc.Cache.find c "b");
-  Alcotest.(check int) "hits counted" 1 (Svc.Cache.hits c);
-  Alcotest.(check int) "misses counted" 1 (Svc.Cache.misses c)
+  Alcotest.(check int) "hits counted" 1 (cache_count "hits" - h0);
+  Alcotest.(check int) "misses counted" 1 (cache_count "misses" - m0)
 
 let test_cache_save_load () =
   let path = Filename.temp_file "nxc-cache" ".jsonl" in
@@ -218,6 +227,7 @@ let arb_cache_ops =
 
 let run_ops cache ops =
   (* observable trace: per-op result plus running counters *)
+  let h0 = cache_count "hits" and m0 = cache_count "misses" in
   List.map
     (fun op ->
       let r =
@@ -228,7 +238,7 @@ let run_ops cache ops =
         | Find k -> Svc.Cache.find cache shard_keys.(k)
         | Peek k -> Svc.Cache.peek cache shard_keys.(k)
       in
-      (r, Svc.Cache.hits cache, Svc.Cache.misses cache))
+      (r, cache_count "hits" - h0, cache_count "misses" - m0))
     ops
 
 let qcheck_shard_stable =
@@ -329,42 +339,50 @@ let test_job_parse_bad () =
       {|{"kind":"yield","n":16,"density":1.5}|};
       {|{"kind":"bism","n":4,"k":10}|};
       {|{"kind":"repair","trials":0}|};
+      {|{"kind":"repair","mode":"psychic"}|};
       {|{"kind":"synth","expr":"x1","cover_backend":"zdd"}|} ]
-
-(* jobs built in code skip of_json; the engine applies the same checks
-   and answers with an error envelope instead of raising *)
-let test_engine_validates_built_jobs () =
-  let job spec = { Svc.Job.id = None; budget_steps = None; spec } in
-  let outs =
-    Svc.Engine.run_jobs
-      [ job (Svc.Job.Bism
-               { n = 4; k = 10; density = 0.05; seed = 1; trials = 2;
-                 scheme = "greedy" });
-        job (Svc.Job.Repair
-               { rows = 4; cols = 4; spare_rows = 1; spare_cols = 1;
-                 density = 0.05; seed = 1; trials = 2; mode = "psychic" }) ]
-  in
-  Alcotest.(check (list int)) "invalid input" [ 3; 3 ]
-    (List.map (fun (o : Svc.Engine.outcome) -> o.exit_code) outs)
 
 (* ---------------- engine ------------------------------------------- *)
 
-let synth_job expr =
-  { Svc.Job.id = None; budget_steps = None; spec = Svc.Job.Synth { expr; cover_backend = "bnb" } }
+let synth_line expr =
+  J.to_string
+    (Svc.Job.to_json
+       { Svc.Job.id = None; budget_steps = None;
+         spec = Svc.Job.Synth { expr; cover_backend = "bnb" } })
 
 let envelope_strings outcomes =
   List.map (fun (o : Svc.Engine.outcome) -> J.to_string o.envelope) outcomes
+
+(* jobs built in code reach the engine as [Job.to_json] lines, so an
+   out-of-range spec the record type admits must still come back as an
+   invalid-input envelope *)
+let test_engine_validates_built_jobs () =
+  let line spec =
+    J.to_string
+      (Svc.Job.to_json { Svc.Job.id = None; budget_steps = None; spec })
+  in
+  let outs =
+    Svc.Engine.run_lines
+      [ line (Svc.Job.Bism
+                { n = 4; k = 10; density = 0.05; seed = 1; trials = 2;
+                  scheme = "greedy" });
+        line (Svc.Job.Repair
+                { rows = 4; cols = 4; spare_rows = 1; spare_cols = 1;
+                  density = 0.05; seed = 1; trials = 2; mode = "psychic" }) ]
+  in
+  Alcotest.(check (list int)) "invalid input" [ 3; 3 ]
+    (List.map (fun (o : Svc.Engine.outcome) -> o.exit_code) outs)
 
 (* a cache hit under a permuted/negated spelling must return a verified
    cover of the requested function with the class's product count *)
 let test_engine_npn_hit () =
   let cache = Svc.Cache.create () in
-  let run expr = Svc.Engine.run_jobs ~cache [ synth_job expr ] in
+  let run expr = Svc.Engine.run_lines ~cache [ synth_line expr ] in
   let first = run "x1x2 + x2x3 + x1'x3'" in
-  let h0 = Svc.Cache.hits cache in
+  let h0 = cache_count "hits" in
   let second = run "x2x3 + x3x1 + x2'x1'" in
   Alcotest.(check int) "variant hits the class entry" (h0 + 1)
-    (Svc.Cache.hits cache);
+    (cache_count "hits");
   let field name o =
     match o with
     | { Svc.Engine.envelope = J.Obj kvs; _ } -> (
@@ -409,9 +427,9 @@ let qcheck_engine_npn_equiv =
       let g = Npn.apply t f in
       let expr tt = Cover.to_string (Minimize.sop_table tt) in
       let cache = Svc.Cache.create () in
-      let run e = List.hd (Svc.Engine.run_jobs ~cache [ synth_job e ]) in
+      let run e = List.hd (Svc.Engine.run_lines ~cache [ synth_line e ]) in
       ignore (run (expr f));
-      let h0 = Svc.Cache.hits cache in
+      let h0 = cache_count "hits" in
       let out = run (expr g) in
       let cover =
         match out.Svc.Engine.envelope with
@@ -424,7 +442,7 @@ let qcheck_engine_npn_equiv =
             | _ -> QCheck.Test.fail_report "no result")
         | _ -> QCheck.Test.fail_report "no envelope"
       in
-      Svc.Cache.hits cache = h0 + 1
+      cache_count "hits" = h0 + 1
       && out.exit_code = 0
       && Tt.equal (Boolfunc.table (Parse.expr ~n:3 cover)) g)
 
