@@ -723,16 +723,6 @@ let serve_cmd =
     Term.(const run $ common_term $ cache_arg $ window_arg $ deadline_arg)
 
 let () =
-  (* NANOXCOMP_VERBOSE=debug|info enables library tracing *)
-  (match Sys.getenv_opt "NANOXCOMP_VERBOSE" with
-  | Some level ->
-      Logs.set_reporter (Logs.format_reporter ());
-      Logs.set_level
-        (match level with
-        | "debug" -> Some Logs.Debug
-        | "info" -> Some Logs.Info
-        | _ -> Some Logs.Warning)
-  | None -> ());
   let info =
     Cmd.info "nanoxcomp" ~version:"1.0.0"
       ~doc:"logic synthesis and fault tolerance for nano-crossbar arrays"

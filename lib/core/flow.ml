@@ -2,10 +2,6 @@ module R = Nxc_reliability
 module Lt = Nxc_lattice
 module Guard = Nxc_guard
 
-let src = Logs.Src.create "nxc.flow" ~doc:"synthesize/map/verify pipeline"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type result = {
   impl : Synth.t;
   bism : R.Bism.stats;
@@ -65,18 +61,9 @@ let run ?(scheme = R.Bism.Hybrid 10) ?(max_configs = 1000) ?guard rng ~chip
   let lattice = Synth.best_lattice impl in
   if not (feasible chip lattice) then begin
     Obs.Metrics.incr m_infeasible;
-    Log.warn (fun f ->
-        f "lattice %dx%d exceeds chip %dx%d: unmappable"
-          (Lt.Lattice.rows lattice) (Lt.Lattice.cols lattice)
-          (R.Defect.rows chip) (R.Defect.cols chip));
     { impl; bism = no_stats; mapping = None; functional = false }
   end
   else begin
-    Log.info (fun f ->
-        f "mapping a %dx%d lattice onto a %dx%d chip (%.1f%% defective)"
-          (Lt.Lattice.rows lattice) (Lt.Lattice.cols lattice)
-          (R.Defect.rows chip) (R.Defect.cols chip)
-          (100.0 *. R.Defect.actual_density chip));
     let bism, mapping =
       Obs.Span.with_ ~name:"flow.bism" (fun () ->
           R.Bism.run ~guard rng scheme ~chip

@@ -1,5 +1,3 @@
-let pp_dims ppf (r, c) = Format.fprintf ppf "%dx%d" r c
-
 let dims_str = function
   | None -> "-"
   | Some (r, c) -> Printf.sprintf "%dx%d" r c

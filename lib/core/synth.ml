@@ -21,7 +21,7 @@ type t = {
   degraded : bool;
 }
 
-let synthesize ?method_ ?(decompose = true) ?guard func =
+let synthesize ?(decompose = true) ?guard func =
   let guard = Guard.Budget.resolve guard in
   let alive_before = Guard.Budget.alive guard in
   Obs.Metrics.incr m_functions;
@@ -36,15 +36,15 @@ let synthesize ?method_ ?(decompose = true) ?guard func =
   Guard.Budget.with_current (Guard.Budget.degrading guard) @@ fun () ->
   let constant = L.Boolfunc.is_const func <> None in
   let f_cover =
-    Obs.Span.with_ ~name:"synth.sop" (fun () -> L.Minimize.sop ?method_ func)
+    Obs.Span.with_ ~name:"synth.sop" (fun () -> L.Minimize.sop func)
   in
   let dual_cover =
     Obs.Span.with_ ~name:"synth.dual_sop" (fun () ->
-        L.Minimize.dual_sop ?method_ func)
+        L.Minimize.dual_sop func)
   in
   let ar_lattice =
     Obs.Span.with_ ~name:"synth.ar_lattice" (fun () ->
-        Lt.Altun_riedel.synthesize ?method_ func)
+        Lt.Altun_riedel.synthesize func)
   in
   let dec_lattice =
     if decompose && not constant then
@@ -74,9 +74,9 @@ let synthesize ?method_ ?(decompose = true) ?guard func =
        if d then Obs.Metrics.incr m_degraded;
        d) }
 
-let synthesize_result ?method_ ?decompose ?guard func =
+let synthesize_result ?decompose ?guard func =
   let guard = Guard.Budget.resolve guard in
-  let impl = synthesize ?method_ ?decompose ~guard func in
+  let impl = synthesize ?decompose ~guard func in
   match Guard.Budget.policy guard with
   | Guard.Budget.Fail when impl.degraded -> Error (Guard.Budget.error guard)
   | _ -> Ok impl

@@ -24,7 +24,6 @@ type t = {
 }
 
 val synthesize :
-  ?method_:Nxc_logic.Minimize.method_ ->
   ?decompose:bool ->
   ?guard:Nxc_guard.Budget.t ->
   Nxc_logic.Boolfunc.t ->
@@ -36,7 +35,6 @@ val synthesize :
     and never raises. *)
 
 val synthesize_result :
-  ?method_:Nxc_logic.Minimize.method_ ->
   ?decompose:bool ->
   ?guard:Nxc_guard.Budget.t ->
   Nxc_logic.Boolfunc.t ->

@@ -18,7 +18,7 @@ val of_cover : Nxc_logic.Cover.t -> t
     (constants have no SOP crossbar; test with
     {!Nxc_logic.Cover.is_bottom} / handle upstream) or is empty. *)
 
-val synthesize : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> t
+val synthesize : Nxc_logic.Boolfunc.t -> t
 (** Minimize and build.  Raises [Invalid_argument] on constant
     functions. *)
 
@@ -27,7 +27,7 @@ val n_vars : t -> int
 val dims : t -> Model.dims
 (** Rows = products, cols = distinct literals + 1. *)
 
-val size_formula : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> Model.dims
+val size_formula : Nxc_logic.Boolfunc.t -> Model.dims
 
 val placement : t -> Model.placement
 

@@ -48,9 +48,6 @@ let pp ppf r =
     r.impl r.rows r.cols r.crosspoints r.programmed r.area_nm2 r.delay_ps
     r.energy_aj
 
-let pp_table ppf rs =
-  List.iter (fun r -> Format.fprintf ppf "%a@\n" pp r) rs
-
 type spare_overhead = {
   logical_rows : int;
   logical_cols : int;
@@ -79,9 +76,3 @@ let spare_overhead ?(tech = Model.diode_tech) ~rows ~cols ~spare_rows
     logical_area_nm2 = logical;
     physical_area_nm2 = physical;
     area_overhead = (physical -. logical) /. logical }
-
-let pp_spare_overhead ppf o =
-  Format.fprintf ppf
-    "%dx%d + %d/%d spares: area %.0f -> %.0f nm^2 (+%.1f%%)"
-    o.logical_rows o.logical_cols o.spare_rows o.spare_cols
-    o.logical_area_nm2 o.physical_area_nm2 (100.0 *. o.area_overhead)

@@ -41,8 +41,6 @@ val fet : ?tech:Model.tech -> Fet.t -> report
 
 val pp : Format.formatter -> report -> unit
 
-val pp_table : Format.formatter -> report list -> unit
-
 (** {2 Spare-line area overhead}
 
     A repairable crossbar (see {!Nxc_reliability.Bira}) fabricates
@@ -68,5 +66,3 @@ val spare_overhead :
   spare_overhead
 (** @raise Invalid_argument on non-positive logical dimensions or
     negative spare counts. *)
-
-val pp_spare_overhead : Format.formatter -> spare_overhead -> unit

@@ -14,7 +14,7 @@ type t = {
 let cube_implies_table n cube tt =
   Tt.implies (Tt.of_cover (Cover.make n [ cube ])) tt
 
-let synthesize ?method_ fs =
+let synthesize fs =
   (match fs with [] -> invalid_arg "Multi.synthesize: no outputs" | _ -> ());
   let outputs = Array.of_list fs in
   let n = L.Boolfunc.n_vars outputs.(0) in
@@ -31,12 +31,12 @@ let synthesize ?method_ fs =
      pairwise conjunctions as sharing seeds *)
   let candidates = Hashtbl.create 64 in
   let add_cover c = List.iter (fun cube -> Hashtbl.replace candidates cube ()) (Cover.cubes c) in
-  Array.iter (fun f -> add_cover (L.Minimize.sop ?method_ f)) outputs;
+  Array.iter (fun f -> add_cover (L.Minimize.sop f)) outputs;
   for i = 0 to k - 1 do
     for j = i + 1 to k - 1 do
       let conj = Tt.band tables.(i) tables.(j) in
       if Tt.is_const conj = None then
-        add_cover (L.Minimize.sop_table ?method_ conj)
+        add_cover (L.Minimize.sop_table conj)
     done
   done;
   let cand = Hashtbl.fold (fun c () acc -> c :: acc) candidates [] in
@@ -114,13 +114,6 @@ let eval_int x m =
         Array.iteri (fun o d -> if d then out.(o) <- true) x.drives.(r))
     x.products;
   out
-
-let separate_crosspoints ?method_ fs =
-  List.fold_left
-    (fun acc f ->
-      let d = Diode.size_formula ?method_ f in
-      acc + Model.crosspoints d)
-    0 fs
 
 let pp ppf x =
   let d = dims x in

@@ -13,7 +13,7 @@
 
 type t
 
-val synthesize : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t list -> t
+val synthesize : Nxc_logic.Boolfunc.t list -> t
 (** All functions must share an arity; constant outputs are rejected
     ([Invalid_argument]), as in {!Diode}. *)
 
@@ -36,10 +36,5 @@ val connected_outputs : t -> int -> bool array
 
 val eval_int : t -> int -> bool array
 (** All outputs under one assignment. *)
-
-val separate_crosspoints :
-  ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t list -> int
-(** Total crosspoints of per-output single-function diode crossbars —
-    the sharing baseline. *)
 
 val pp : Format.formatter -> t -> unit

@@ -31,23 +31,23 @@ let synthesize_from_covers ~n ~f_cover ~dual_cover =
   in
   Lattice.make ~n_vars:n sites
 
-let synthesize ?method_ f =
+let synthesize f =
   Obs.Metrics.incr m_syntheses;
   Obs.Span.with_ ~name:"lattice.altun_riedel" @@ fun () ->
   let n = L.Boolfunc.n_vars f in
   match L.Boolfunc.is_const f with
   | Some b -> constant_lattice (max n 1) b
   | None ->
-      let f_cover = L.Minimize.sop ?method_ f in
-      let dual_cover = L.Minimize.dual_sop ?method_ f in
+      let f_cover = L.Minimize.sop f in
+      let dual_cover = L.Minimize.dual_sop f in
       synthesize_from_covers ~n ~f_cover ~dual_cover
 
-let size_formula ?method_ f =
+let size_formula f =
   match L.Boolfunc.is_const f with
   | Some _ -> (1, 1)
   | None ->
-      let c = Cover.num_cubes (L.Minimize.sop ?method_ f) in
-      let r = Cover.num_cubes (L.Minimize.dual_sop ?method_ f) in
+      let c = Cover.num_cubes (L.Minimize.sop f) in
+      let r = Cover.num_cubes (L.Minimize.dual_sop f) in
       (r, c)
 
 let paper_example () =

@@ -10,7 +10,7 @@
 
     Constant functions degenerate to a single constant site. *)
 
-val synthesize : ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> Lattice.t
+val synthesize : Nxc_logic.Boolfunc.t -> Lattice.t
 (** Minimize [f] and [f{^D}] and build the lattice. *)
 
 val synthesize_from_covers :
@@ -20,8 +20,7 @@ val synthesize_from_covers :
     function/dual pair) or when a cover is degenerate (use
     {!synthesize} for constants). *)
 
-val size_formula :
-  ?method_:Nxc_logic.Minimize.method_ -> Nxc_logic.Boolfunc.t -> int * int
+val size_formula : Nxc_logic.Boolfunc.t -> int * int
 (** [(rows, cols)] = (products of f{^D}, products of f): Fig. 5 without
     building the lattice. *)
 

@@ -244,8 +244,6 @@ let eval_all ?scratch:sc ?n_vars l =
 
 let eval_all_lr ?scratch ?n_vars l = eval_all ?scratch ?n_vars (transpose l)
 
-let to_function ?(name = "lattice") l = Boolfunc.make ~name (eval_all l)
-
 let conducting_sites l m =
   let acc = ref [] in
   for r = l.rows - 1 downto 0 do

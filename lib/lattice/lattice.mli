@@ -50,8 +50,6 @@ val eval_lr : t -> int -> bool
 (** Left-to-right connectivity — for lattices built by
     {!Altun_riedel.synthesize} this computes the dual function. *)
 
-val to_function : ?name:string -> t -> Nxc_logic.Boolfunc.t
-
 (** {1 Bit-sliced evaluation}
 
     The word-parallel kernel evaluates the lattice on {e all} [2{^n}]

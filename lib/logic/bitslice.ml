@@ -30,13 +30,6 @@ let iter_set x f =
     rest := !rest lxor bit
   done
 
-let fill_const ws ~len b =
-  let nw = words_for len in
-  if nw > 0 then begin
-    Array.fill ws 0 nw (if b then -1 else 0);
-    if b then ws.(nw - 1) <- ws.(nw - 1) land tail_mask len
-  end
-
 let fill_var ws ~len ~v =
   if v < 0 then invalid_arg "Bitslice.fill_var";
   let nw = words_for len in

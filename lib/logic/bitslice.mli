@@ -40,10 +40,6 @@ val iter_set : int -> (int -> unit) -> unit
     non-zero result pays a per-bit visit, so the common all-match case
     costs one comparison per word. *)
 
-val fill_const : int array -> len:int -> bool -> unit
-(** Fill the first [words_for len] words with the constant bit,
-    normalizing the tail. *)
-
 val fill_var : int array -> len:int -> v:int -> unit
 (** Fill with the {e variable pattern} of input variable [v] over the
     assignment space [0 .. len - 1]: bit [m] is set iff

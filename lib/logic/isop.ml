@@ -62,7 +62,3 @@ let isop ?lower u =
   Obs.Span.with_ ~name:"isop.isop"
     ~attrs:(fun () -> [ ("n", Obs.Json.Int n) ])
     (fun () -> Cover.make n (isop_rec n 0 l u))
-
-let isop_func f = isop (Boolfunc.table f)
-
-let cover_table = Tt.of_cover

@@ -92,6 +92,3 @@ let verify cover f =
   Truth_table.equal (Truth_table.of_cover cover) (Boolfunc.table f)
 
 let num_products ?method_ f = Cover.num_cubes (sop ?method_ f)
-
-let num_distinct_literals ?method_ f =
-  List.length (Cover.distinct_literals (sop ?method_ f))

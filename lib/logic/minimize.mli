@@ -66,5 +66,3 @@ val verify : Cover.t -> Boolfunc.t -> bool
 (** Exhaustive equivalence between a cover and a function. *)
 
 val num_products : ?method_:method_ -> Boolfunc.t -> int
-
-val num_distinct_literals : ?method_:method_ -> Boolfunc.t -> int

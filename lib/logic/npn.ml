@@ -1,9 +1,7 @@
-(* NPN canonicalization: exhaustive transform search for small arities,
-   output-phase-only ("semi") fallback above the limit or when the
-   budget runs out. *)
+(* Output-phase normalization: the smaller of a table and its
+   complement is the synth cache's key. *)
 
 module Tt = Truth_table
-module Budget = Nxc_guard.Budget
 
 type transform = {
   perm : int array;
@@ -12,7 +10,6 @@ type transform = {
 }
 
 let m_canon = Nxc_obs.Metrics.counter "npn.canonicalizations"
-let m_semi = Nxc_obs.Metrics.counter "npn.semi"
 
 let identity n =
   { perm = Array.init n (fun i -> i); input_neg = Array.make n false;
@@ -31,76 +28,18 @@ let apply t f =
       done;
       Tt.eval_int f !m' <> t.output_neg)
 
-let exhaustive_limit = 6
+let exhaustive_limit = 0
 
 let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
 
 let num_transforms n = (1 lsl (n + 1)) * factorial n
 
-(* all permutations of [0 .. n-1], in a fixed deterministic order *)
-let permutations n =
-  let rec go prefix remaining acc =
-    match remaining with
-    | [] -> Array.of_list (List.rev prefix) :: acc
-    | _ ->
-        List.fold_left
-          (fun acc x ->
-            go (x :: prefix) (List.filter (fun y -> y <> x) remaining) acc)
-          acc remaining
-  in
-  List.rev (go [] (List.init n (fun i -> i)) [])
-
-(* output-phase-only canonical form: cheap, correct, no input unification *)
-let semi f =
+let canonical f =
+  Nxc_obs.Metrics.incr m_canon;
   let nf = Tt.bnot f in
   if Tt.compare nf f < 0 then
     ({ (identity (Tt.n_vars f)) with output_neg = true }, nf)
   else (identity (Tt.n_vars f), f)
-
-let canonical ?guard f =
-  Nxc_obs.Metrics.incr m_canon;
-  let n = Tt.n_vars f in
-  if n > exhaustive_limit then begin
-    Nxc_obs.Metrics.incr m_semi;
-    semi f
-  end
-  else begin
-    let guard = Budget.resolve guard in
-    let best_t = ref (identity n) and best = ref f in
-    let exhausted = ref false in
-    (try
-       List.iter
-         (fun perm ->
-           for mask = 0 to (1 lsl n) - 1 do
-             if not (Budget.step guard) then begin
-               exhausted := true;
-               raise Exit
-             end;
-             let input_neg = Array.init n (fun i -> (mask lsr i) land 1 = 1) in
-             List.iter
-               (fun output_neg ->
-                 let t = { perm; input_neg; output_neg } in
-                 let cand = apply t f in
-                 let c = Tt.compare cand !best in
-                 (* ties prefer no output negation, so the output phase
-                    is a property of the NP-subclass, not of which
-                    transform the enumeration met first *)
-                 if c < 0 || (c = 0 && !best_t.output_neg && not output_neg)
-                 then begin
-                   best_t := t;
-                   best := cand
-                 end)
-               [ false; true ]
-           done)
-         (permutations n)
-     with Exit -> ());
-    if !exhausted then begin
-      Budget.degrade "npn_semi";
-      Nxc_obs.Metrics.incr m_semi;
-      semi f
-    end
-    else (!best_t, !best)
-  end
 
 let table_key f =
   let n = Tt.n_vars f in
@@ -118,8 +57,6 @@ let table_key f =
     Buffer.add_char buf "0123456789abcdef".[!v]
   done;
   Buffer.contents buf
-
-let canonical_key ?guard f = table_key (snd (canonical ?guard f))
 
 let flip = function Cube.Pos -> Cube.Neg | Cube.Neg -> Cube.Pos
 

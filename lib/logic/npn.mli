@@ -1,27 +1,18 @@
-(** NPN canonicalization of Boolean functions.
+(** Output-phase normalization of Boolean functions, and the cache-key
+    function of the {!Nxc_service} synth cache.
 
     Two functions are NPN-equivalent when one can be obtained from the
     other by permuting inputs (P), negating a subset of the inputs (N)
     and optionally negating the output (the leading N) — [2{^n+1}·n!]
-    transforms in total.  Synthesis cost is essentially a property of
-    the NPN class: input permutation and input negation only relabel
-    literals, so covers, crossbar dimensions and lattice sizes carry
-    over unchanged, which makes the canonical form the natural key for
-    the {!Nxc_service} result cache.
+    transforms in total.  {!transform}, {!apply} and the cover
+    relabelings below describe that group.
 
-    The canonical representative of a class is the transform image with
-    the smallest truth table (by {!Truth_table.compare}), ties broken
-    in favor of a transform with no output negation; for a fixed input
-    the search is deterministic, so equal functions always map to the
-    same transform, not just the same class, and [output_neg] of the
-    chosen transform depends only on the function's NP-subclass.
-
-    Functions with more than {!exhaustive_limit} variables (and
-    exhaustive searches cut short by an exhausted
-    {!Nxc_guard.Budget.t}, counted under [guard.degrade.npn_semi]) fall
-    back to a {e semi}-canonical form: only output negation is
-    considered.  Keys remain correct — equal functions still share a
-    key — the cache merely stops unifying permuted variants. *)
+    {!canonical} does not search it: it considers output negation only
+    and returns the smaller of [f] and [not f] (by
+    {!Truth_table.compare}), so the transform it returns is always the
+    identity on the inputs.  A key then depends only on the function it
+    keys, and costs one complement and one compare: a search over the
+    whole group costs more than the minimization a cache hit saves. *)
 
 type transform = {
   perm : int array;
@@ -42,35 +33,28 @@ val apply : transform -> Truth_table.t -> Truth_table.t
     @raise Invalid_argument on an arity mismatch. *)
 
 val exhaustive_limit : int
-(** Largest arity (6) searched exhaustively; above it {!canonical}
-    returns the semi-canonical form. *)
+(** Largest arity whose canonical form ranges over the whole NPN class:
+    [0], where output negation is the whole class. *)
 
 val num_transforms : int -> int
-(** [num_transforms n] is [2{^n+1}·n!], the size of the search space
-    {!canonical} covers below {!exhaustive_limit}. *)
+(** [num_transforms n] is [2{^n+1}·n!], the size of the NPN group on
+    [n] inputs. *)
 
-val canonical :
-  ?guard:Nxc_guard.Budget.t -> Truth_table.t -> transform * Truth_table.t
-(** [canonical f] is [(t, g)] with [apply t f = g] and [g] minimal over
-    the class (see the module preamble for the semi-canonical
-    fallbacks).  One step of [guard] (default: the ambient budget) is
-    charged per candidate transform. *)
+val canonical : Truth_table.t -> transform * Truth_table.t
+(** [canonical f] is [(t, g)] with [apply t f = g], [g] the smaller of
+    [f] and its complement, and [t] the identity except for
+    [t.output_neg]. *)
 
 val table_key : Truth_table.t -> string
 (** Exact content key of a table: arity plus the table bits in hex.
     Equal tables, and nothing else, share a key. *)
-
-val canonical_key : ?guard:Nxc_guard.Budget.t -> Truth_table.t -> string
-(** [table_key (snd (canonical f))]: all members of an NPN class map to
-    this one key (below {!exhaustive_limit}). *)
 
 val cover_to_canon : transform -> Cover.t -> Cover.t
 (** [cover_to_canon t c] relabels a cover of [f] into the input
     coordinates of [apply t f]: literal [(v, p)] becomes
     [(t.perm.(v), p XOR t.input_neg.(v))].  Output negation is {e not}
     applied — when [t.output_neg] the result covers the complement of
-    [apply t f]; callers track that phase separately
-    (cf. {!Nxc_service.Engine}).
+    [apply t f].
     @raise Invalid_argument on an arity mismatch. *)
 
 val cover_of_canon : transform -> Cover.t -> Cover.t

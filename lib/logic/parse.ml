@@ -371,7 +371,6 @@ let legacy f =
 
 let expr_result ?n s = wrap (fun () -> expr_impl ?n s)
 let expr ?n s = legacy (fun () -> expr_impl ?n s)
-let expr_cover_result ?n s = wrap (fun () -> expr_cover_impl ?n s)
 let expr_cover ?n s = legacy (fun () -> expr_cover_impl ?n s)
 let pla_of_string_result text = wrap (fun () -> pla_of_string_impl text)
 let pla_of_string text = legacy (fun () -> pla_of_string_impl text)

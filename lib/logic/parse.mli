@@ -41,9 +41,6 @@ val expr_cover : ?n:int -> string -> Cover.t
     parentheses or XOR) directly into a cover, preserving its products
     verbatim. *)
 
-val expr_cover_result :
-  ?n:int -> string -> (Cover.t, Nxc_guard.Error.t) result
-
 type pla = {
   inputs : int;
   outputs : int;

@@ -113,5 +113,3 @@ val monte_carlo :
     appear in the stats.
     @raise Invalid_argument when [trials <= 0], a dimension is
     non-positive, or a spare count is negative. *)
-
-val pp_solution : Format.formatter -> solution -> unit

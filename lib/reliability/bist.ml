@@ -215,8 +215,6 @@ let pack p =
     pk_max_words =
       Array.fold_left (fun acc pc -> max acc pc.pk_words) 1 configs }
 
-let packed_plan pd = pd.pk_plan
-
 let syndrome_multi_packed pd faults =
   Obs.Metrics.incr m_syndromes;
   let obs = obs_buffer pd.pk_max_words in

@@ -116,9 +116,6 @@ val pack : plan -> packed
 (** Raises [Assert_failure] if the plan is unsound on a fault-free
     array (a fault-free evaluation must match every expectation). *)
 
-val packed_plan : packed -> plan
-(** The plan [pack] was applied to. *)
-
 val syndrome_packed : packed -> Fault_model.fault -> (int * int) list
 (** Bit-identical to {!syndrome}, without the per-call packing cost. *)
 

@@ -110,7 +110,6 @@ let create ?(seed = 0) () =
     s_decisions = 0;
     s_restarts = 0 }
 
-let num_vars s = s.nvars
 let ok s = s.ok
 let decision_level s = s.trail_lim_sz
 

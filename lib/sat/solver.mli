@@ -54,8 +54,6 @@ val new_var : t -> int
 (** Allocate the next variable; returns its positive literal (1, 2,
     ...). *)
 
-val num_vars : t -> int
-
 val add_clause : t -> int list -> unit
 (** Add a disjunction of literals.  Tautologies are dropped, false
     literals at level 0 are stripped, the empty clause marks the solver

@@ -1,10 +1,10 @@
 (** Content-addressed result cache with sharded LRU eviction and
     optional on-disk persistence.
 
-    The store maps opaque string keys — NPN-canonical function keys
-    ({!Nxc_logic.Npn}) or canonical job-spec strings ({!Job}) — to JSON
-    values.  It is the memory of the {!Engine}: repeated or
-    NPN-symmetric requests resolve here instead of re-running
+    The store maps opaque string keys — truth-table keys of synth jobs
+    ({!Nxc_logic.Npn.table_key}) or canonical job-spec strings ({!Job})
+    — to JSON values.  It is the memory of the {!Engine}: repeated
+    requests resolve here instead of re-running
     QM/Espresso/lattice search or a seeded simulation.
 
     {b Sharding.}  The table is split into [shards] independent LRU

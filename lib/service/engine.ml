@@ -56,7 +56,7 @@ let with_job_budget (job : Job.t) f =
   | None -> f ()
 
 (* ------------------------------------------------------------------ *)
-(* synth jobs: NPN-keyed cover cache                                   *)
+(* synth jobs: cover cache keyed by the exact table                    *)
 (* ------------------------------------------------------------------ *)
 
 let cube_to_chars n cube =
@@ -101,6 +101,8 @@ let plan_synth (job : Job.t) expr cover_backend =
   | Error e -> Bad e
   | Ok f ->
       let n = Boolfunc.n_vars f in
+      (* the key names the function up to output phase; the stored
+         covers are of [f] itself, in its own input coordinates *)
       let tr, canon = Npn.canonical (Boolfunc.table f) in
       let phase = if tr.Npn.output_neg then "-" else "+" in
       let budget_tag =
@@ -128,8 +130,8 @@ let plan_synth (job : Job.t) expr cover_backend =
             Ok
               (J.Obj
                  [ ("n", J.Int n);
-                   ("cover", cover_to_json (Npn.cover_to_canon tr c.Minimize.cover));
-                   ("dual", cover_to_json (Npn.cover_to_canon tr d.Minimize.cover));
+                   ("cover", cover_to_json c.Minimize.cover);
+                   ("dual", cover_to_json d.Minimize.cover);
                    ("degraded", J.Bool (c.Minimize.degraded || d.Minimize.degraded)) ]
               )
         | Error e, _ | _, Error e -> Error e
@@ -142,9 +144,7 @@ let plan_synth (job : Job.t) expr cover_backend =
         | Some cj, Some dj, Some (J.Bool degraded) -> (
             match (cover_of_json n cj, cover_of_json n dj) with
             | exception _ -> corrupt ()
-            | canon_cover, canon_dual ->
-                let cover = Npn.cover_of_canon tr canon_cover in
-                let dual = Npn.cover_of_canon tr canon_dual in
+            | cover, dual ->
                 if
                   not
                     (timed m_lat_verify (fun () ->
@@ -224,9 +224,10 @@ let repair_payload ~trials ((mc : R.Bira.mc), overhead) =
         J.Float overhead.Nxc_crossbar.Metrics.area_overhead ) ]
 
 (* a seeded simulation: its whole payload is the cache value *)
-let plan_sim (job : Job.t) ?(exit_of = fun _ -> 0) compute =
+let plan_sim (job : Job.t) ?(key = Job.cache_key job) ?(exit_of = fun _ -> 0)
+    compute =
   Keyed
-    { key = Job.cache_key job;
+    { key;
       compute = (fun () -> with_job_budget job compute);
       render = (fun value -> Ok (value, exit_of value)) }
 
@@ -238,7 +239,14 @@ let plan (job : Job.t) =
       match Parse.expr_result expr with
       | Error e -> Bad e
       | Ok f ->
-          plan_sim job
+          (* [Sim.flow] minimizes with the process-wide cover backend, so
+             a SAT-covered flow must not fill the entry a bnb run reads *)
+          let key =
+            match Qm.cover_backend () with
+            | Qm.Sat -> Job.cache_key job ^ ":sat"
+            | Qm.Bnb -> Job.cache_key job
+          in
+          plan_sim job ~key
             (fun () -> Result.map flow_payload (Sim.flow ~n ~density ~seed f))
             ~exit_of:(fun value ->
               match J.member "functional" value with
@@ -396,7 +404,7 @@ let run_tagged ?pool ?cache tags =
       tags
   in
   (* render pass, pooled: rendering is a pure function of the cache
-     value and the request's own transform (it re-verifies covers), so
+     value and the request's own function (it re-verifies covers), so
      followers render in parallel without touching the envelope *)
   let rendered =
     Nxc_par.Pool.map ?pool
@@ -449,7 +457,7 @@ let tag_line line =
       Nxc_obs.Metrics.hdr_observe m_lat_key (t2 - t1);
       { prep_ns = t2 - t0; tag }
 
-(* planning (parse + NPN keying) is pure, so it runs on the pool too;
+(* planning (parse + keying) is pure, so it runs on the pool too;
    Pool.map keeps results, metric merges and exceptions in job order *)
 let run_lines ?pool ?cache lines =
   run_tagged ?pool ?cache (Nxc_par.Pool.map ?pool tag_line lines)

@@ -24,18 +24,21 @@
 
     {2 Caching}
 
-    [Synth] jobs are keyed by the NPN class of their parsed function
-    ({!Nxc_logic.Npn.canonical_key} plus an output-phase tag): the
-    cache stores the minimized covers of the function and its dual in
-    canonical input coordinates, and a hit maps them back through the
-    request's own NPN transform — so permuted/negated variants reuse
-    one QM/Espresso run and still receive exact covers of {e their}
-    function (re-verified on every hit).  The other kinds are seeded
-    simulations; their whole result envelope payload is cached under
-    the canonical spec string ({!Job.cache_key}).  A synth job's
-    minimizer is the one its own ["cover_backend"] names (default
-    [bnb]), never the process-wide {!Nxc_logic.Qm.cover_backend}, so a
-    cached cover does not depend on which run filled the cache.
+    [Synth] jobs are keyed by the exact truth table of their parsed
+    function, normalized for output phase only ({!Nxc_logic.Npn.canonical}
+    and {!Nxc_logic.Npn.table_key} plus a phase tag).  The cache stores
+    the minimized covers of the function and its dual in the function's
+    own input coordinates, and a hit re-verifies them against the
+    request before rendering.  A key depends only on the function it
+    keys, so an envelope never depends on which other spellings filled
+    the cache.  The other kinds are seeded simulations; their whole
+    result envelope payload is cached under the canonical spec string
+    ({!Job.cache_key}).  A synth job's minimizer is the one its own
+    ["cover_backend"] names (default [bnb]), never the process-wide
+    {!Nxc_logic.Qm.cover_backend}, so a cached cover does not depend on
+    which run filled the cache.  A [Flow] job does minimize with the
+    process-wide backend, so under [Sat] its key gets a [":sat"]
+    suffix and never shares an entry with a [Bnb] run.
 
     {2 Determinism under parallelism}
 
@@ -55,7 +58,7 @@ val run_lines :
     rather than aborting the batch.  Without [?cache] a fresh in-memory
     cache still deduplicates within the batch.
 
-    The batch runs in four passes.  Planning (parse, validate and NPN
+    The batch runs in four passes.  Planning (parse, validate and
     keying, pure) runs on the pool in job order; leader marking is
     sequential: the {e first} job of each key group (not already
     cached) becomes the group's single computing leader, and leaders'
@@ -64,7 +67,7 @@ val run_lines :
     there, so which job computes and which job hits is a function of
     the job list and the cache contents, never of scheduling.  Finally
     rendering (a pure function of the cache value and the request's own
-    NPN transform, including the hit-path re-verification) runs on the
+    function, including the hit-path re-verification) runs on the
     pool, and envelopes are emitted sequentially in job order. *)
 
 val batch_exit : outcome list -> int

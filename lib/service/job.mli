@@ -81,5 +81,6 @@ val cache_key : t -> string
 (** Canonical content key for the non-[Synth] kinds: the spec (with
     defaults expanded, [id] stripped, [budget_steps] kept — a budget
     can change a degraded result) rendered as one JSON line.  Jobs
-    differing only in [id] share a key.  [Synth] jobs are keyed by NPN
-    class instead — see {!Engine}. *)
+    differing only in [id] share a key.  [Synth] jobs are keyed by
+    their truth table instead, and a [Flow] job run under the SAT cover
+    backend by this key plus [":sat"] — see {!Engine}. *)

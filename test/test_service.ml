@@ -49,34 +49,58 @@ let test_npn_num_transforms () =
         (Npn.num_transforms n))
     [ 1; 2; 3; 4 ]
 
-(* the headline property: every one of the 2^(n+1)*n! transforms of a
-   function lands on the same canonical key *)
-let npn_class_key_prop n f =
-  let key = Npn.canonical_key f in
+(* the synth cache's key: the table up to output phase *)
+let key f = Npn.table_key (snd (Npn.canonical f))
+
+(* the keying law: over all 2^(n+1)*n! transforms of f, two images get
+   equal keys exactly when their tables are equal or complements *)
+let npn_key_law n f =
+  let images =
+    List.map (fun t -> let g = Npn.apply t f in (g, key g)) (all_transforms n)
+  in
   List.for_all
-    (fun t -> String.equal key (Npn.canonical_key (Npn.apply t f)))
-    (all_transforms n)
+    (fun (g1, k1) ->
+      List.for_all
+        (fun (g2, k2) ->
+          String.equal k1 k2 = (Tt.equal g1 g2 || Tt.equal g1 (Tt.bnot g2)))
+        images)
+    images
 
 let test_npn_class_n4 () =
-  (* deterministic n = 4 witness: all 768 transforms, one key *)
+  (* deterministic n = 4 witness: all 768 transforms *)
   let f = Boolfunc.table (Parse.expr "(x1 + x2')(x3 + x4) + x1'x3'") in
-  Alcotest.(check bool) "768 transforms, one key" true (npn_class_key_prop 4 f)
+  Alcotest.(check bool) "768 transforms, keyed by table up to phase" true
+    (npn_key_law 4 f)
 
 let test_npn_canonical_transform () =
-  (* canonical returns a witness transform: apply t f = g *)
+  (* canonical returns a witness transform, the identity on the inputs:
+     apply t f = g *)
   List.iter
     (fun seed ->
       let f = Tt.random 3 ~seed in
       let t, g = Npn.canonical f in
-      Alcotest.(check bool) "apply t f = g" true (Tt.equal (Npn.apply t f) g))
+      Alcotest.(check bool) "apply t f = g" true (Tt.equal (Npn.apply t f) g);
+      Alcotest.(check bool) "inputs untouched" true
+        (Tt.equal (Npn.apply { t with Npn.output_neg = false } f) f))
     [ 1; 2; 3; 4; 5 ]
 
 let test_npn_semi_above_limit () =
-  let n = Npn.exhaustive_limit + 1 in
-  let f = Tt.random n ~seed:3 in
-  let key = Npn.canonical_key f in
-  let nkey = Npn.canonical_key (Tt.bnot f) in
-  Alcotest.(check string) "semi-canonical unifies output phase" key nkey
+  (* every arity is above the limit: the key unifies output phase and
+     nothing else *)
+  for n = Npn.exhaustive_limit + 1 to 8 do
+    let f = Tt.random n ~seed:n in
+    let name = Printf.sprintf "n=%d" n in
+    Alcotest.(check string) (name ^ ": output phase unified") (key f)
+      (key (Tt.bnot f));
+    let g = snd (Npn.canonical f) in
+    Alcotest.(check bool) (name ^ ": canonical is f or not f") true
+      (Tt.equal g f || Tt.equal g (Tt.bnot f));
+    let rotate = Array.init n (fun i -> (i + 1) mod n) in
+    let h = Npn.apply { (Npn.identity n) with Npn.perm = rotate } f in
+    if not (Tt.equal h f || Tt.equal h (Tt.bnot f)) then
+      Alcotest.(check bool) (name ^ ": a permuted variant keys apart") false
+        (String.equal (key f) (key h))
+  done
 
 (* ---------------- cover transforms --------------------------------- *)
 
@@ -373,16 +397,12 @@ let test_engine_validates_built_jobs () =
   Alcotest.(check (list int)) "invalid input" [ 3; 3 ]
     (List.map (fun (o : Svc.Engine.outcome) -> o.exit_code) outs)
 
-(* a cache hit under a permuted/negated spelling must return a verified
-   cover of the requested function with the class's product count *)
+(* synth jobs are keyed by their own table: a permuted spelling misses,
+   an exact repeat hits, and both return verified covers of the function
+   they asked for *)
 let test_engine_npn_hit () =
   let cache = Svc.Cache.create () in
-  let run expr = Svc.Engine.run_lines ~cache [ synth_line expr ] in
-  let first = run "x1x2 + x2x3 + x1'x3'" in
-  let h0 = cache_count "hits" in
-  let second = run "x2x3 + x3x1 + x2'x1'" in
-  Alcotest.(check int) "variant hits the class entry" (h0 + 1)
-    (cache_count "hits");
+  let run expr = List.hd (Svc.Engine.run_lines ~cache [ synth_line expr ]) in
   let field name o =
     match o with
     | { Svc.Engine.envelope = J.Obj kvs; _ } -> (
@@ -391,60 +411,46 @@ let test_engine_npn_hit () =
         | _ -> Alcotest.fail "no result object")
     | _ -> Alcotest.fail "envelope not an object"
   in
-  Alcotest.(check bool)
-    "hit re-verified against its own function" true
-    (field "verified" (List.hd second) = J.Bool true);
-  Alcotest.(check bool)
-    "NP transforms preserve cover size" true
-    (field "products" (List.hd first) = field "products" (List.hd second));
-  (* and the returned cover is of the *variant*, not the base *)
-  (match field "cover" (List.hd second) with
-  | J.Str s ->
-      let got = Parse.expr ~n:3 s in
-      Alcotest.(check bool)
-        "cover computes the requested function" true
-        (Boolfunc.equal got (Parse.expr "x2x3 + x3x1 + x2'x1'"))
-  | _ -> Alcotest.fail "cover not a string")
+  let base = "x1x2 + x2x3 + x1'x3'" and variant = "x2x3 + x3x1 + x2'x1'" in
+  ignore (run base);
+  let h0 = cache_count "hits" and m0 = cache_count "misses" in
+  let permuted = run variant in
+  Alcotest.(check int) "permuted spelling misses" (m0 + 1)
+    (cache_count "misses");
+  let repeat = run variant in
+  Alcotest.(check int) "exact repeat hits" (h0 + 1) (cache_count "hits");
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "verified" true
+        (field "verified" o = J.Bool true);
+      match field "cover" o with
+      | J.Str s ->
+          Alcotest.(check bool) "cover computes the requested function" true
+            (Boolfunc.equal (Parse.expr ~n:3 s) (Parse.expr variant))
+      | _ -> Alcotest.fail "cover not a string")
+    [ permuted; repeat ]
 
-let qcheck_engine_npn_equiv =
-  (* random 3-var function, random transform: the transformed spelling
-     resolves from the base's cache entry to an equivalent cover *)
-  (* output negation is deliberately excluded: the complement lives in
-     the other phase slot of the same class (see Engine), so only NP
-     variants — permuted/negated *inputs* — are guaranteed hits *)
-  Testutil.qtest ~count:25 "engine: NP variants hit and stay equivalent"
-    (QCheck.pair (Testutil.arb_table 3)
-       (QCheck.make QCheck.Gen.(pair (int_bound 5) (int_bound 7))))
+let qcheck_engine_history =
+  (* random 4-var function, random NP transform: the variant's envelope
+     is the same bytes on a fresh cache and on one the base filled *)
+  Testutil.qtest ~count:100 "engine: envelope ignores cache history"
+    (QCheck.pair (Testutil.arb_table 4)
+       (QCheck.make QCheck.Gen.(pair (int_bound 23) (int_bound 15))))
     (fun (f, (pi, mask)) ->
       (* full support: Parse.expr infers arity from the highest variable
-         mentioned, so a vanishing x3 would change the parsed arity *)
-      QCheck.assume (Tt.support f = [ 0; 1; 2 ]);
+         mentioned, so a vanishing x4 would change the parsed arity *)
+      QCheck.assume (Tt.support f = [ 0; 1; 2; 3 ]);
       let t =
-        { Npn.perm = List.nth (permutations 3) pi;
-          input_neg = Array.init 3 (fun v -> (mask lsr v) land 1 = 1);
+        { Npn.perm = List.nth (permutations 4) pi;
+          input_neg = Array.init 4 (fun v -> (mask lsr v) land 1 = 1);
           output_neg = false }
       in
-      let g = Npn.apply t f in
-      let expr tt = Cover.to_string (Minimize.sop_table tt) in
+      let line tt = synth_line (Cover.to_string (Minimize.sop_table tt)) in
+      let fresh = Svc.Engine.run_lines [ line (Npn.apply t f) ] in
       let cache = Svc.Cache.create () in
-      let run e = List.hd (Svc.Engine.run_lines ~cache [ synth_line e ]) in
-      ignore (run (expr f));
-      let h0 = cache_count "hits" in
-      let out = run (expr g) in
-      let cover =
-        match out.Svc.Engine.envelope with
-        | J.Obj kvs -> (
-            match List.assoc "result" kvs with
-            | J.Obj r -> (
-                match List.assoc "cover" r with
-                | J.Str s -> s
-                | _ -> QCheck.Test.fail_report "cover not a string")
-            | _ -> QCheck.Test.fail_report "no result")
-        | _ -> QCheck.Test.fail_report "no envelope"
-      in
-      cache_count "hits" = h0 + 1
-      && out.exit_code = 0
-      && Tt.equal (Boolfunc.table (Parse.expr ~n:3 cover)) g)
+      ignore (Svc.Engine.run_lines ~cache [ line f ]);
+      let filled = Svc.Engine.run_lines ~cache [ line (Npn.apply t f) ] in
+      envelope_strings fresh = envelope_strings filled)
 
 let test_engine_determinism () =
   let lines =
@@ -581,9 +587,10 @@ let () =
     [ ( "npn",
         [ Alcotest.test_case "identity" `Quick test_npn_identity;
           Alcotest.test_case "num_transforms" `Quick test_npn_num_transforms;
-          Testutil.qtest ~count:60 "all transforms share one key (n<=3)"
+          Testutil.qtest ~count:60
+            "keys equal iff equal up to phase (n<=3)"
             (Testutil.arb_table_sized 3)
-            (fun f -> npn_class_key_prop (Tt.n_vars f) f);
+            (fun f -> npn_key_law (Tt.n_vars f) f);
           Alcotest.test_case "all 768 transforms n=4" `Quick test_npn_class_n4;
           Alcotest.test_case "canonical witness" `Quick
             test_npn_canonical_transform;
@@ -607,7 +614,7 @@ let () =
           Alcotest.test_case "malformed specs" `Quick test_job_parse_bad ] );
       ( "engine",
         [ Alcotest.test_case "npn cache hit" `Quick test_engine_npn_hit;
-          qcheck_engine_npn_equiv;
+          qcheck_engine_history;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "validates built jobs" `Quick
             test_engine_validates_built_jobs ] );
