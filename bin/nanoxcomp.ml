@@ -161,31 +161,10 @@ let jobs_term =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* ------------------------------------------------------------------ *)
-(* covering-backend flag, shared by every subcommand                   *)
-(* ------------------------------------------------------------------ *)
-
-let backend_term =
-  let doc =
-    "Exact covering engine for Quine-McCluskey: $(b,bnb) (branch and \
-     bound, default) or $(b,sat) (CDCL solver).  Both are exact; on \
-     budget exhaustion $(b,sat) degrades back to $(b,bnb) under the \
-     $(b,guard.degrade.sat_to_bnb) counter (or exits 4 with \
-     $(b,--on-exhaustion fail))."
-  in
-  let setup b = Qm.set_cover_backend b in
-  Term.(
-    const setup
-    $ Arg.(
-        value
-        & opt (enum [ ("bnb", Qm.Bnb); ("sat", Qm.Sat) ]) Qm.Bnb
-        & info [ "cover-backend" ] ~docv:"ENGINE" ~doc))
-
 (* every subcommand takes the setup terms and receives the --jobs value *)
 let common_term =
   Term.(
-    const (fun () () () jobs -> jobs)
-    $ obs_term $ guard_term $ backend_term $ jobs_term)
+    const (fun () () jobs -> jobs) $ obs_term $ guard_term $ jobs_term)
 
 let die_error e =
   Guard.Error.count e;
@@ -645,7 +624,8 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "process a JSONL job file through the service engine \
-          (deterministically ordered results, NPN-cached synthesis)")
+          (deterministically ordered results, cached by job content or \
+          exact truth table)")
     Term.(const run $ common_term $ path $ cache_arg $ output)
 
 let serve_cmd =

@@ -62,12 +62,6 @@ type stats = { num_primes : int; num_essential : int; exact : bool }
 
 type cover_backend = Bnb | Sat
 
-(* process-wide default, set once at CLI/service start-up before any
-   worker domain spawns (workers then read a stable published value) *)
-let default_backend = ref Bnb
-let set_cover_backend b = default_backend := b
-let cover_backend () = !default_backend
-
 (* Branch and bound over the covering problem: minimize the number of
    chosen primes covering all ON minterms.  [budget] caps explored
    nodes; [guard] is consumed once per node. *)
@@ -155,7 +149,7 @@ let isop_fallback ~n ~on ~dc =
   in
   Isop.isop ~lower upper
 
-let minimize_with guard ~dc ~budget ~backend ~n on =
+let minimize_with guard ~dc ~budget ~cover_backend ~n on =
   Obs.Metrics.incr m_calls;
   Obs.Span.with_ ~name:"qm.minimize"
     ~attrs:(fun () -> [ ("n", Obs.Json.Int n) ])
@@ -205,7 +199,7 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
         let rest_result =
           if remaining = [] then Ok ([], true)
           else
-            match backend with
+            match cover_backend with
             | Bnb -> Ok (bnb ())
             | Sat -> (
                 match
@@ -237,23 +231,18 @@ let minimize_with guard ~dc ~budget ~backend ~n on =
                   num_essential = List.length essential_idx;
                   exact } ))
 
-let minimize_result ?(dc = []) ?(budget = 200_000) ?guard ?cover_backend ~n on
-    =
-  let guard = Guard.Budget.resolve guard in
-  let backend =
-    match cover_backend with Some b -> b | None -> !default_backend
-  in
-  minimize_with guard ~dc ~budget ~backend ~n on
+let minimize_result ?(dc = []) ?(budget = 200_000) ?guard
+    ?(cover_backend = Bnb) ~n on =
+  minimize_with (Guard.Budget.resolve guard) ~dc ~budget ~cover_backend ~n on
 
-let minimize ?(dc = []) ?(budget = 200_000) ?guard ?cover_backend ~n on =
+let minimize ?(dc = []) ?(budget = 200_000) ?guard ?(cover_backend = Bnb) ~n
+    on =
   let guard = Guard.Budget.resolve guard in
-  let backend =
-    match cover_backend with Some b -> b | None -> !default_backend
-  in
   (* a Degrade view keeps the total contract: the SAT covering backend
      never fails here, it falls back under guard.degrade.sat_to_bnb *)
   match
-    minimize_with (Guard.Budget.degrading guard) ~dc ~budget ~backend ~n on
+    minimize_with (Guard.Budget.degrading guard) ~dc ~budget ~cover_backend
+      ~n on
   with
   | Ok r -> r
   | Error _ ->

@@ -24,11 +24,13 @@ val primes : n:int -> on:int list -> dc:int list -> Cube.t list
 (** {2 Covering backends}
 
     The covering step (after essential-prime extraction) can run on two
-    exact engines: the in-module branch and bound ([Bnb], the default)
-    or the {!Sat_cover} encoding over the {!Nxc_sat} CDCL solver
-    ([Sat]).  Both return minimum covers when they complete, so covers
-    only differ in which equally-sized solution they pick; E18 verifies
-    the two backends semantically equivalent on the paper's suites.
+    exact engines: the in-module branch and bound ([Bnb]) or the
+    {!Sat_cover} encoding over the {!Nxc_sat} CDCL solver ([Sat]).  The
+    engine is chosen per call through [?cover_backend] and defaults to
+    [Bnb]; nothing process-wide selects it.  Both return minimum covers
+    when they complete, so covers only differ in which equally-sized
+    solution they pick; E18 verifies the two backends semantically
+    equivalent on the paper's suites.
 
     On budget exhaustion the [Sat] backend degrades to [Bnb] under a
     [guard.degrade.sat_to_bnb] count (which, with the budget already
@@ -37,13 +39,6 @@ val primes : n:int -> on:int list -> dc:int list -> Cube.t list
     [`Budget_exhausted] instead. *)
 
 type cover_backend = Bnb | Sat
-
-val set_cover_backend : cover_backend -> unit
-(** Process-wide default for entry points that don't pass
-    [?cover_backend] — set once at CLI/service start-up, before any
-    worker domain spawns. *)
-
-val cover_backend : unit -> cover_backend
 
 type stats = {
   num_primes : int;  (** 0 when prime generation was cut short *)
@@ -63,10 +58,9 @@ val minimize :
     {!field-stats.exact}) cover of the ON-set minterms using the DC-set
     freely.  [budget] bounds the branch-and-bound node count (default
     200_000); [guard] (default: the ambient budget) bounds total work;
-    [cover_backend] (default: {!cover_backend}[ ()]) picks the exact
-    covering engine.  Total: on guard exhaustion it returns the
-    degraded ISOP cover described above and counts a
-    [guard.degrade.qm_to_isop]. *)
+    [cover_backend] (default [Bnb]) picks the exact covering engine.
+    Total: on guard exhaustion it returns the degraded ISOP cover
+    described above and counts a [guard.degrade.qm_to_isop]. *)
 
 val minimize_result :
   ?dc:int list ->

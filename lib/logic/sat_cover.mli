@@ -9,9 +9,9 @@
     until the bound [s - 1] is refuted, which proves the size-[s]
     certificate optimal.
 
-    Selected through {!Qm}'s [cover_backend] parameter (CLI/jobs:
-    [--cover-backend sat]); on budget exhaustion {!Qm} degrades back to
-    branch and bound under [guard.degrade.sat_to_bnb]. *)
+    Selected per call through {!Qm}'s [~cover_backend:Sat] (service
+    jobs: ["cover_backend":"sat"]); on budget exhaustion {!Qm} degrades
+    back to branch and bound under [guard.degrade.sat_to_bnb]. *)
 
 type outcome = {
   chosen : int list;

@@ -111,9 +111,7 @@ let plan_synth (job : Job.t) expr cover_backend =
         | None -> ""
       in
       (* both backends find a minimum cover, but not necessarily the
-         same one — keep their cache entries apart, and name the backend
-         explicitly so the process default ([--cover-backend]) never
-         leaks into a job that asked for the other one *)
+         same one — keep their cache entries apart *)
       let backend, backend_tag =
         match cover_backend with
         | "sat" -> (Qm.Sat, ":sat")
@@ -224,10 +222,9 @@ let repair_payload ~trials ((mc : R.Bira.mc), overhead) =
         J.Float overhead.Nxc_crossbar.Metrics.area_overhead ) ]
 
 (* a seeded simulation: its whole payload is the cache value *)
-let plan_sim (job : Job.t) ?(key = Job.cache_key job) ?(exit_of = fun _ -> 0)
-    compute =
+let plan_sim (job : Job.t) ?(exit_of = fun _ -> 0) compute =
   Keyed
-    { key;
+    { key = Job.cache_key job;
       compute = (fun () -> with_job_budget job compute);
       render = (fun value -> Ok (value, exit_of value)) }
 
@@ -239,14 +236,7 @@ let plan (job : Job.t) =
       match Parse.expr_result expr with
       | Error e -> Bad e
       | Ok f ->
-          (* [Sim.flow] minimizes with the process-wide cover backend, so
-             a SAT-covered flow must not fill the entry a bnb run reads *)
-          let key =
-            match Qm.cover_backend () with
-            | Qm.Sat -> Job.cache_key job ^ ":sat"
-            | Qm.Bnb -> Job.cache_key job
-          in
-          plan_sim job ~key
+          plan_sim job
             (fun () -> Result.map flow_payload (Sim.flow ~n ~density ~seed f))
             ~exit_of:(fun value ->
               match J.member "functional" value with

@@ -33,12 +33,11 @@
     keys, so an envelope never depends on which other spellings filled
     the cache.  The other kinds are seeded simulations; their whole
     result envelope payload is cached under the canonical spec string
-    ({!Job.cache_key}).  A synth job's minimizer is the one its own
-    ["cover_backend"] names (default [bnb]), never the process-wide
-    {!Nxc_logic.Qm.cover_backend}, so a cached cover does not depend on
-    which run filled the cache.  A [Flow] job does minimize with the
-    process-wide backend, so under [Sat] its key gets a [":sat"]
-    suffix and never shares an entry with a [Bnb] run.
+    ({!Job.cache_key}).  A synth job's covering engine is the one its
+    own ["cover_backend"] names (default [bnb]), and a ["sat"] job's key
+    gets a [":sat"] suffix, so the two engines never share an entry.
+    Every other kind, [Flow] included, minimizes with the default
+    engine and is keyed by {!Job.cache_key} alone.
 
     {2 Determinism under parallelism}
 

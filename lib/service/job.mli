@@ -30,7 +30,8 @@ type spec =
       expr : string;
       cover_backend : string;
           (** ["bnb"] (default) or ["sat"] — the exact set-cover engine
-              used by the minimizer; see {!Nxc_logic.Qm.cover_backend} *)
+              this job's minimizer runs, {!Nxc_logic.Qm.Bnb} or
+              {!Nxc_logic.Qm.Sat} *)
     }
   | Flow of { expr : string; n : int; density : float; seed : int }
   | Bist of { rows : int; cols : int }

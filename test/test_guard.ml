@@ -99,7 +99,7 @@ let test_minimize_result_fail_policy () =
   (* an exhausted Fail-policy guard must surface as a typed error *)
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~policy:G.Budget.Fail ~steps:5 () in
-  match L.Minimize.sop_table_result ~method_:L.Minimize.Exact ~guard tt with
+  match L.Minimize.sop_table_result ~guard tt with
   | Error (`Budget_exhausted _) -> ()
   | Error e -> Alcotest.failf "unexpected error: %s" (G.Error.to_string e)
   | Ok _ -> Alcotest.fail "expected budget exhaustion"
@@ -107,7 +107,7 @@ let test_minimize_result_fail_policy () =
 let test_minimize_result_degrade_policy () =
   let tt = Tt.random 6 ~seed:7 in
   let guard = G.Budget.create ~steps:5 () in
-  match L.Minimize.sop_table_result ~method_:L.Minimize.Exact ~guard tt with
+  match L.Minimize.sop_table_result ~guard tt with
   | Ok { L.Minimize.cover; degraded } ->
       Alcotest.(check bool) "degraded" true degraded;
       Alcotest.(check bool) "equivalent" true (Tt.equal (tt_of_cover cover) tt)

@@ -218,6 +218,21 @@ let sop_tests =
     U.qtest ~count:100 "minimize auto verifies" (U.arb_table_sized 6) (fun tt ->
         let c = Minimize.sop_table tt in
         Tt.equal (Tt.of_cover c) tt);
+    Alcotest.test_case "capped covers report degraded" `Quick (fun () ->
+        (* QM's branch and bound hits its node cap on both and falls
+           back to a greedy cover, which is not known to be minimum *)
+        List.iter
+          (fun name ->
+            let f = (Option.get (Nxc_suite.by_name name)).Nxc_suite.func in
+            match Minimize.sop_result f with
+            | Ok o ->
+                check (name ^ " degraded") true o.Minimize.degraded;
+                check (name ^ " verified") true (Minimize.verify o.Minimize.cover f)
+            | Error e -> Alcotest.failf "%s: %s" name (Nxc_guard.Error.to_string e))
+          [ "sym7_34"; "rd73_1" ];
+        match Minimize.sop_result (Parse.expr "x1x2 + x1'x2'") with
+        | Ok o -> check "xnor2 exact" false o.Minimize.degraded
+        | Error e -> Alcotest.failf "xnor2: %s" (Nxc_guard.Error.to_string e));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -467,10 +482,9 @@ let edge_tests =
             check "same function" true
               (Tt.equal (Tt.of_cover p'.Parse.on_sets.(o)) (Boolfunc.table f)))
           fs);
-    Alcotest.test_case "minimize sop with Espresso_loop method" `Quick
-      (fun () ->
+    Alcotest.test_case "espresso improves an isop cover" `Quick (fun () ->
         let f = Parse.expr "x1x2 + x1x3 + x2x3" in
-        let c = Minimize.sop ~method_:Minimize.Espresso_loop f in
+        let c = Espresso.minimize (Isop.isop (Boolfunc.table f)) in
         check "verified" true (Minimize.verify c f));
     Alcotest.test_case "boolfunc operators" `Quick (fun () ->
         let a = Parse.expr ~n:2 "x1" and b = Parse.expr ~n:2 "x2" in
