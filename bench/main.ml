@@ -913,12 +913,11 @@ let e18 () =
             mo.Nxc_suite.outputs)
         (Nxc_suite.multi_output ())
   in
-  (* Each minimization runs under its own fresh budget: on the handful
-     of genuinely hard instances (the middle rd73 counter bit) BOTH
-     engines degrade gracefully — bnb to greedy covering, SAT to its
-     best certificate so far — and the parity claim weakens from
-     "same size" to "same function", which is exactly the graceful-
-     degradation contract. *)
+  (* Each minimization runs under its own fresh budget: on a hard
+     instance (the middle rd73 counter bit for SAT) an engine that runs
+     out returns its best cover so far, uncertified, and the parity
+     claim weakens from "same size" to "same function", which is
+     exactly the graceful-degradation contract. *)
   let budget_steps = 250_000 in
   let identical = ref true and checked = ref 0 and both_exact = ref 0 in
   List.iter

@@ -42,12 +42,13 @@ let obs_setup trace format metrics log =
         Some d
     | None -> if Obs.Span.enabled () then Some "-" else None
   in
-  (* registered before the trace handler so metrics (stdout) print
-     before the stderr trace when both are enabled *)
+  (* on stderr, like the trace, so stdout stays a clean result stream
+     (batch and serve write JSONL envelopes there); registered before
+     the trace handler so the metrics print first when both are on *)
   if metrics then
     at_exit (fun () ->
-        print_string (Obs.Metrics.dump_text ());
-        flush stdout);
+        prerr_string (Obs.Metrics.dump_text ());
+        flush stderr);
   match dest with
   | None -> ()
   | Some d ->
@@ -89,7 +90,7 @@ let obs_term =
   let metrics =
     Arg.(
       value & flag
-      & info [ "metrics" ] ~doc:"Print the metrics snapshot on exit.")
+      & info [ "metrics" ] ~doc:"Print the metrics snapshot to stderr on exit.")
   in
   let log =
     let doc =

@@ -60,18 +60,25 @@ let trip c =
   end;
   false
 
-let step { core = c; _ } =
+(* the clock is read when the charged steps [before, before + k) cross
+   a multiple of [check_mask + 1], so [charge t 1] reads it exactly when
+   a run of single steps would *)
+let charge { core = c; _ } k =
   if c.dead then false
   else begin
-    c.steps <- c.steps + 1;
+    let before = c.steps in
+    c.steps <- before + k;
     if c.steps > c.max_steps then trip c
     else if
       c.deadline_ns <> max_int
-      && (c.steps - 1) land check_mask = 0
+      && (let off = before land check_mask in
+          off = 0 || off + k > check_mask + 1)
       && Obs.Clock.now_ns () >= c.deadline_ns
     then trip c
     else true
   end
+
+let step t = charge t 1
 
 let alive t = not t.core.dead
 let exhausted t = t.core.dead

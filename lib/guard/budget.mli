@@ -44,6 +44,10 @@ val create :
 val step : t -> bool
 (** Consume one step.  [false] once the budget is exhausted (sticky). *)
 
+val charge : t -> int -> bool
+(** [charge t k] consumes [k] steps at once, for loops that count their
+    work in bulk; [step t] is [charge t 1]. *)
+
 val alive : t -> bool
 
 val exhausted : t -> bool

@@ -62,81 +62,6 @@ type stats = { num_primes : int; num_essential : int; exact : bool }
 
 type cover_backend = Bnb | Sat
 
-(* Branch and bound over the covering problem: minimize the number of
-   chosen primes covering all ON minterms.  [budget] caps explored
-   nodes; [guard] is consumed once per node. *)
-let cover_exact guard primes_arr on_list budget =
-  let nodes = ref 0 in
-  let best = ref None in
-  let best_size = ref max_int in
-  let n_primes = Array.length primes_arr in
-  (* for each minterm, the primes covering it *)
-  let covering = Hashtbl.create 64 in
-  List.iter
-    (fun m ->
-      let who = ref [] in
-      for i = n_primes - 1 downto 0 do
-        if Cube.eval_int primes_arr.(i) m then who := i :: !who
-      done;
-      Hashtbl.replace covering m !who)
-    on_list;
-  let exception Budget in
-  let rec go chosen n_chosen uncovered =
-    incr nodes;
-    if !nodes > budget || not (Guard.Budget.step guard) then raise Budget;
-    match uncovered with
-    | [] ->
-        if n_chosen < !best_size then begin
-          best_size := n_chosen;
-          best := Some chosen
-        end
-    | m :: _rest ->
-        if n_chosen + 1 >= !best_size then () (* bound *)
-        else
-          let candidates = Hashtbl.find covering m in
-          List.iter
-            (fun i ->
-              let uncovered' =
-                List.filter
-                  (fun m' -> not (Cube.eval_int primes_arr.(i) m'))
-                  uncovered
-              in
-              go (i :: chosen) (n_chosen + 1) uncovered')
-            candidates
-  in
-  let outcome =
-    match go [] 0 on_list with
-    | () -> (!best, true)
-    | exception Budget ->
-        Obs.Metrics.incr m_budget_exhausted;
-        (!best, false)
-  in
-  Obs.Metrics.add m_nodes !nodes;
-  outcome
-
-let greedy_cover primes_arr on_list =
-  let uncovered = ref on_list in
-  let chosen = ref [] in
-  while !uncovered <> [] do
-    let best_i = ref (-1) and best_gain = ref (-1) in
-    Array.iteri
-      (fun i p ->
-        let gain =
-          List.fold_left
-            (fun acc m -> if Cube.eval_int p m then acc + 1 else acc)
-            0 !uncovered
-        in
-        if gain > !best_gain then begin
-          best_gain := gain;
-          best_i := i
-        end)
-      primes_arr;
-    let p = primes_arr.(!best_i) in
-    chosen := !best_i :: !chosen;
-    uncovered := List.filter (fun m -> not (Cube.eval_int p m)) !uncovered
-  done;
-  !chosen
-
 (* ISOP over the [on <= g <= on + dc] interval: the graceful-degradation
    target when the guard trips during prime generation.  Polynomial in
    the table size, so it terminates promptly even with a dead guard. *)
@@ -166,62 +91,71 @@ let minimize_with guard ~dc ~budget ~cover_backend ~n on =
         Obs.Metrics.add m_primes (List.length ps);
         Obs.Metrics.hdr_observe h_primes (List.length ps);
         let primes_arr = Array.of_list ps in
-        (* essential primes: sole cover of some ON minterm *)
-        let essential = Hashtbl.create 16 in
+        (* the primes covering each ON minterm; a minterm with a single
+           one makes that prime essential *)
+        let covering =
+          List.map
+            (fun m ->
+              let who = ref [] in
+              for i = Array.length primes_arr - 1 downto 0 do
+                if Cube.eval_int primes_arr.(i) m then who := i :: !who
+              done;
+              (m, !who))
+            on
+        in
+        let essential = Array.make (Array.length primes_arr) false in
         List.iter
-          (fun m ->
-            let who = ref [] in
-            Array.iteri
-              (fun i p -> if Cube.eval_int p m then who := i :: !who)
-              primes_arr;
-            match !who with
-            | [ i ] -> Hashtbl.replace essential i ()
-            | _ -> ())
-          on;
-        let essential_idx =
-          Hashtbl.fold (fun i () acc -> i :: acc) essential []
+          (function _, [ i ] -> essential.(i) <- true | _ -> ())
+          covering;
+        let essential_idx, rest =
+          List.partition (fun i -> essential.(i))
+            (List.init (Array.length primes_arr) Fun.id)
         in
-        let covered m =
-          List.exists (fun i -> Cube.eval_int primes_arr.(i) m) essential_idx
-        in
-        let remaining = List.filter (fun m -> not (covered m)) on in
-        let rest_primes =
+        (* the covering problem left over: remaining minterms against
+           the non-essential primes, renumbered in index order *)
+        let rest_idx = Array.of_list rest in
+        let renumber = Array.make (Array.length primes_arr) (-1) in
+        Array.iteri (fun j i -> renumber.(i) <- j) rest_idx;
+        let covered_by =
           Array.of_list
-            (List.filteri
-               (fun i _ -> not (Hashtbl.mem essential i))
-               (Array.to_list primes_arr))
+            (List.filter_map
+               (fun (_, who) ->
+                 if List.exists (fun i -> essential.(i)) who then None
+                 else Some (List.map (fun i -> renumber.(i)) who))
+               covering)
         in
-        let bnb () =
-          match cover_exact guard rest_primes remaining budget with
-          | Some sol, ex -> (sol, ex)
-          | None, _ -> (greedy_cover rest_primes remaining, false)
+        let num_sets = Array.length rest_idx in
+        let solve () =
+          let r = Covering.solve ?budget ~guard ~num_sets ~covered_by () in
+          Obs.Metrics.add m_nodes r.Covering.nodes;
+          if not r.exact then Obs.Metrics.incr m_budget_exhausted;
+          (r.chosen, r.exact)
         in
         let rest_result =
-          if remaining = [] then Ok ([], true)
+          if covered_by = [||] then Ok ([], true)
           else
             match cover_backend with
-            | Bnb -> Ok (bnb ())
+            | Bnb -> Ok (solve ())
             | Sat -> (
-                match
-                  Sat_cover.min_cube_cover ~guard ~primes:rest_primes
-                    ~minterms:remaining ()
-                with
+                match Sat_cover.min_cover ~guard ~num_sets ~covered_by () with
                 | Ok { Sat_cover.chosen; optimal } -> Ok (chosen, optimal)
                 | Error (`Budget_exhausted _ as e)
                   when Guard.Budget.policy guard = Guard.Budget.Fail ->
                     Obs.Metrics.incr m_budget_exhausted;
                     Error e
                 | Error _ ->
-                    (* the solver ran out before any certificate:
-                       degrade to branch and bound (which, on a dead
-                       guard, immediately winds down to greedy) *)
+                    (* the solver ran out before any certificate: degrade
+                       to the covering solver, which on a dead guard
+                       returns its greedy incumbent at once *)
                     Guard.Budget.degrade "sat_to_bnb";
-                    Ok (bnb ()))
+                    Ok (solve ()))
         in
         (match rest_result with
         | Error e -> Error e
-        | Ok (rest_idx, exact) ->
-            let rest_cubes = List.map (fun i -> rest_primes.(i)) rest_idx in
+        | Ok (chosen, exact) ->
+            let rest_cubes =
+              List.map (fun j -> primes_arr.(rest_idx.(j))) chosen
+            in
             let cubes =
               List.map (fun i -> primes_arr.(i)) essential_idx @ rest_cubes
             in
@@ -231,12 +165,10 @@ let minimize_with guard ~dc ~budget ~cover_backend ~n on =
                   num_essential = List.length essential_idx;
                   exact } ))
 
-let minimize_result ?(dc = []) ?(budget = 200_000) ?guard
-    ?(cover_backend = Bnb) ~n on =
+let minimize_result ?(dc = []) ?budget ?guard ?(cover_backend = Bnb) ~n on =
   minimize_with (Guard.Budget.resolve guard) ~dc ~budget ~cover_backend ~n on
 
-let minimize ?(dc = []) ?(budget = 200_000) ?guard ?(cover_backend = Bnb) ~n
-    on =
+let minimize ?(dc = []) ?budget ?guard ?(cover_backend = Bnb) ~n on =
   let guard = Guard.Budget.resolve guard in
   (* a Degrade view keeps the total contract: the SAT covering backend
      never fails here, it falls back under guard.degrade.sat_to_bnb *)

@@ -52,17 +52,3 @@ let min_cover ?guard ?(seed = 0) ~num_sets ~covered_by () =
         Error (Guard.Error.internal "Sat_cover: unconstrained solve UNSAT")
     | Sat.Solver.Unknown -> Error (Guard.Budget.error guard)
   end
-
-let min_cube_cover ?guard ?seed ~primes ~minterms () =
-  let covered_by =
-    Array.of_list
-      (List.map
-         (fun m ->
-           let who = ref [] in
-           for i = Array.length primes - 1 downto 0 do
-             if Cube.eval_int primes.(i) m then who := i :: !who
-           done;
-           !who)
-         minterms)
-  in
-  min_cover ?guard ?seed ~num_sets:(Array.length primes) ~covered_by ()

@@ -10,8 +10,10 @@
     certificate optimal.
 
     Selected per call through {!Qm}'s [~cover_backend:Sat] (service
-    jobs: ["cover_backend":"sat"]); on budget exhaustion {!Qm} degrades
-    back to branch and bound under [guard.degrade.sat_to_bnb]. *)
+    jobs: ["cover_backend":"sat"]), which encodes each remaining ON
+    minterm as an element and each non-essential prime as a set; on
+    budget exhaustion {!Qm} degrades to {!Covering.solve} under
+    [guard.degrade.sat_to_bnb]. *)
 
 type outcome = {
   chosen : int list;
@@ -35,13 +37,3 @@ val min_cover :
     covering set, [`Budget_exhausted] when the budget tripped before
     {e any} certificate was found.  Deterministic for a fixed [seed]
     (default 0), independent of any pool. *)
-
-val min_cube_cover :
-  ?guard:Nxc_guard.Budget.t ->
-  ?seed:int ->
-  primes:Cube.t array ->
-  minterms:int list ->
-  unit ->
-  (outcome, Nxc_guard.Error.t) result
-(** {!min_cover} with sets as prime-implicant cubes and elements as ON
-    minterms, covering tested by {!Cube.eval_int}. *)

@@ -18,7 +18,13 @@ let test_budget_steps () =
   Alcotest.(check bool) "step 3" true (G.Budget.step b);
   Alcotest.(check bool) "step 4 trips" false (G.Budget.step b);
   Alcotest.(check bool) "sticky" false (G.Budget.step b);
-  Alcotest.(check bool) "exhausted" true (G.Budget.exhausted b)
+  Alcotest.(check bool) "exhausted" true (G.Budget.exhausted b);
+  let c = G.Budget.create ~steps:10 () in
+  Alcotest.(check bool) "charge 4" true (G.Budget.charge c 4);
+  Alcotest.(check int) "charged 4" 4 (G.Budget.steps_used c);
+  Alcotest.(check bool) "charge to the cap" true (G.Budget.charge c 6);
+  Alcotest.(check bool) "charge past the cap trips" false (G.Budget.charge c 1);
+  Alcotest.(check bool) "charge exhausted" true (G.Budget.exhausted c)
 
 let test_budget_unlimited () =
   let b = G.Budget.create () in

@@ -152,6 +152,29 @@ let parse_tests =
 (* Qm / Isop / Minimize                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* every element has a chosen set *)
+let covers covered_by chosen =
+  Array.for_all (List.exists (fun c -> List.mem c chosen)) covered_by
+
+(* the fewest sets covering every element, over all subsets *)
+let brute_min_cover ~num_sets covered_by =
+  let best = ref max_int in
+  for mask = 0 to (1 lsl num_sets) - 1 do
+    let chosen = List.filter (fun c -> mask land (1 lsl c) <> 0) (List.init num_sets Fun.id) in
+    if covers covered_by chosen then best := min !best (List.length chosen)
+  done;
+  !best
+
+(* an ON-set and a disjoint, sparser DC-set over [0, max_n] inputs *)
+let arb_interval_upto max_n =
+  QCheck.make
+    ~print:(fun (n, on, dc) ->
+      Format.asprintf "n=%d on=%a dc=%a" n Tt.pp on Tt.pp dc)
+    QCheck.Gen.(
+      triple (int_range 0 max_n) nat nat >|= fun (n, s1, s2) ->
+      let dc = Tt.random_with_density n ~seed:s2 ~density:0.25 in
+      (n, Tt.bsub (Tt.random n ~seed:s1) dc, dc))
+
 let sop_tests =
   [
     Alcotest.test_case "xor2 needs two products" `Quick (fun () ->
@@ -200,6 +223,25 @@ let sop_tests =
         let lower = Tt.band a b and upper = Tt.bor a b in
         let c = Tt.of_cover (Isop.isop ~lower upper) in
         Tt.implies lower c && Tt.implies c upper);
+    U.qtest ~count:60 "isop is an irredundant cover of any interval"
+      (arb_interval_upto 10)
+      (fun (n, lower, dc) ->
+        let upper = Tt.bor lower dc in
+        let cubes = Cover.cubes (Isop.isop ~lower upper) in
+        (* how many cubes cover each minterm of [lower] *)
+        let hits = Array.make (1 lsl n) 0 in
+        List.iter
+          (fun c -> List.iter (fun m -> hits.(m) <- hits.(m) + 1) (Cube.minterms c))
+          cubes;
+        List.for_all (fun m -> hits.(m) > 0) (Tt.minterms lower)
+        && List.for_all
+             (fun c ->
+               let ms = Cube.minterms c in
+               (* the cube implies [upper] ... *)
+               List.for_all (Tt.eval_int upper) ms
+               (* ... and is the only cube on some minterm of [lower] *)
+               && List.exists (fun m -> Tt.eval_int lower m && hits.(m) = 1) ms)
+             cubes);
     U.qtest ~count:100 "isop is irredundant" (U.arb_table 4) (fun tt ->
         let c = Isop.isop tt in
         Cover.num_cubes c <= 1
@@ -218,21 +260,94 @@ let sop_tests =
     U.qtest ~count:100 "minimize auto verifies" (U.arb_table_sized 6) (fun tt ->
         let c = Minimize.sop_table tt in
         Tt.equal (Tt.of_cover c) tt);
-    Alcotest.test_case "capped covers report degraded" `Quick (fun () ->
-        (* QM's branch and bound hits its node cap on both and falls
-           back to a greedy cover, which is not known to be minimum *)
+    Alcotest.test_case "cyclic core covers sym7_34 and rd73_1 exactly" `Quick
+      (fun () ->
+        (* the plain branch and bound these replaced capped out at 50
+           and 48 products; 35 is optimal for sym7_34 because each of
+           its primes covers 2 of its 70 minterms *)
         List.iter
-          (fun name ->
+          (fun (name, products) ->
             let f = (Option.get (Nxc_suite.by_name name)).Nxc_suite.func in
             match Minimize.sop_result f with
             | Ok o ->
-                check (name ^ " degraded") true o.Minimize.degraded;
+                check (name ^ " exact") false o.Minimize.degraded;
+                check_int (name ^ " products") products
+                  (Cover.num_cubes o.Minimize.cover);
                 check (name ^ " verified") true (Minimize.verify o.Minimize.cover f)
             | Error e -> Alcotest.failf "%s: %s" name (Nxc_guard.Error.to_string e))
-          [ "sym7_34"; "rd73_1" ];
+          [ ("sym7_34", 35); ("rd73_1", 42) ]);
+    Alcotest.test_case "capped covers report degraded" `Quick (fun () ->
+        (* a guard that outlasts prime generation but not the covering
+           search: the cover is the greedy incumbent, which is not known
+           to be minimum, and the result must say so *)
+        let tt = Boolfunc.table (Option.get (Nxc_suite.by_name "sym7_34")).Nxc_suite.func in
+        let prime_steps =
+          let g = Nxc_guard.Budget.create () in
+          ignore (Qm.minimize_result ~guard:g ~budget:0 ~n:7 (Tt.minterms tt));
+          Nxc_guard.Budget.steps_used g
+        in
+        let guard = Nxc_guard.Budget.create ~steps:(prime_steps + 10) () in
+        (match Minimize.sop_table_result ~guard tt with
+        | Ok o ->
+            check "degraded" true o.Minimize.degraded;
+            check "equivalent" true (Tt.equal (Tt.of_cover o.Minimize.cover) tt)
+        | Error e -> Alcotest.failf "sym7_34: %s" (Nxc_guard.Error.to_string e));
         match Minimize.sop_result (Parse.expr "x1x2 + x1'x2'") with
         | Ok o -> check "xnor2 exact" false o.Minimize.degraded
         | Error e -> Alcotest.failf "xnor2: %s" (Nxc_guard.Error.to_string e));
+    U.qtest ~count:500 "covering solver matches brute force on small matrices"
+      QCheck.(
+        make
+          ~print:(fun (k, rows) ->
+            Printf.sprintf "%d sets: %s" k
+              (String.concat " | "
+                 (List.map (fun r -> String.concat "," (List.map string_of_int r)) rows)))
+          Gen.(
+            (* rows of 2-3 sets make cyclic cores, where greedy and the
+               reductions alone fall short *)
+            int_range 1 12 >>= fun k ->
+            list_size (int_range 0 30)
+              (list_size (int_range 2 3) (int_range 0 (k - 1)))
+            >|= fun rows -> (k, List.map (List.sort_uniq compare) rows)))
+      (fun (num_sets, rows) ->
+        let covered_by = Array.of_list rows in
+        let guard = Nxc_guard.Budget.unlimited in
+        let r = Covering.solve ~guard ~num_sets ~covered_by () in
+        let greedy = Covering.solve ~budget:0 ~guard ~num_sets ~covered_by () in
+        (* a dead guard gets the greedy incumbent at once *)
+        let dead = Nxc_guard.Budget.create ~steps:0 () in
+        ignore (Nxc_guard.Budget.step dead);
+        let starved = Covering.solve ~guard:dead ~num_sets ~covered_by () in
+        r.Covering.exact
+        && (not starved.exact)
+        && starved.chosen = greedy.chosen
+        && starved.nodes = 1
+        && covers covered_by r.chosen
+        && List.length r.chosen = brute_min_cover ~num_sets covered_by
+        && List.length r.chosen <= List.length greedy.chosen);
+    U.qtest ~count:200 "qm with don't cares matches brute force"
+      (arb_interval_upto 5)
+      (fun (n, on_t, dc_t) ->
+        let on = Tt.minterms on_t and dc = Tt.minterms dc_t in
+        let primes = Array.of_list (Qm.primes ~n ~on ~dc) in
+        QCheck.assume (Array.length primes <= 16);
+        let c, st = Qm.minimize ~dc ~n on in
+        (* only ON minterms need covering; each is covered by the
+           primes that contain it *)
+        let covered_by =
+          Array.of_list
+            (List.map
+               (fun m ->
+                 List.filter
+                   (fun i -> Cube.eval_int primes.(i) m)
+                   (List.init (Array.length primes) Fun.id))
+               on)
+        in
+        st.Qm.exact
+        && Tt.implies on_t (Tt.of_cover c)
+        && Tt.implies (Tt.of_cover c) (Tt.bor on_t dc_t)
+        && Cover.num_cubes c
+           = brute_min_cover ~num_sets:(Array.length primes) covered_by);
   ]
 
 (* ------------------------------------------------------------------ *)
